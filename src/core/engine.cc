@@ -184,15 +184,9 @@ StatusOr<uint32_t> WhyNotEngine::Rank(const SpatialKeywordQuery& query,
   }
   const double score =
       Score(dataset_->object(object), query, setr_tree_->diagonal());
-  TopKIterator it(setr_tree_.get(), query);
-  uint32_t strictly_better = 0;
-  std::optional<ScoredObject> next;
-  for (;;) {
-    WSK_RETURN_IF_ERROR(it.Next(&next));
-    if (!next || next->score <= score) break;
-    ++strictly_better;
-  }
-  return strictly_better + 1;
+  bool exceeded = false;
+  return IndexRankOfScore(*setr_tree_, query, score,
+                          /*give_up_after_rank=*/0, &exceeded);
 }
 
 StatusOr<ObjectId> WhyNotEngine::ObjectAtPosition(

@@ -16,7 +16,6 @@ namespace wsk {
 namespace {
 
 using internal::MissingSet;
-using internal::RankFromIndex;
 using internal::WhyNotScorer;
 
 // Search state shared between candidate-evaluation workers (Section IV-C4:
@@ -61,7 +60,7 @@ Status EvaluateCandidate(const ObjectStore& store, const TopKSource& source,
                          const WhyNotOptions& options, const Candidate& cand,
                          uint64_t order, SharedState* state) {
   // Cancellation check per candidate; the rank query below re-checks at
-  // every node visit through the token passed to RankFromIndex.
+  // every node visit through the token passed to IndexRankOfScore.
   if (options.cancel != nullptr) {
     WSK_RETURN_IF_ERROR(options.cancel->Check());
   }
@@ -169,10 +168,10 @@ Status EvaluateCandidate(const ObjectStore& store, const TopKSource& source,
   bool exceeded = false;
   std::vector<ObjectId> dominators;
   uint64_t rank_nodes = 0;
-  StatusOr<uint32_t> rank = RankFromIndex(
-      source, refined, min_score, rank_limit, &exceeded,
-      options.opt_keyword_filtering ? &dominators : nullptr, options.cancel,
-      options.use_node_cache, options.trace, &rank_nodes);
+  StatusOr<uint32_t> rank = IndexRankOfScore(
+      source, refined, min_score, rank_limit, &exceeded, options.cancel,
+      options.use_node_cache, options.trace,
+      options.opt_keyword_filtering ? &dominators : nullptr, &rank_nodes);
   if (!rank.ok()) return rank.status();
 
   std::lock_guard<std::mutex> lock(state->mu);
@@ -226,11 +225,10 @@ StatusOr<WhyNotResult> AnswerWhyNotBasic(const ObjectStore& store,
   StatusOr<uint32_t> initial_rank = Status::Internal("unreachable");
   {
     TraceSpan span(options.trace, TraceStage::kInitialRank);
-    initial_rank = RankFromIndex(source, original, initial_min_score,
-                                 /*limit=*/0, &exceeded, nullptr,
-                                 options.cancel, options.use_node_cache,
-                                 options.trace,
-                                 &result.stats.nodes_expanded);
+    initial_rank = IndexRankOfScore(
+        source, original, initial_min_score, /*give_up_after_rank=*/0,
+        &exceeded, options.cancel, options.use_node_cache, options.trace,
+        /*dominators=*/nullptr, &result.stats.nodes_expanded);
   }
   if (!initial_rank.ok()) return initial_rank.status();
   result.stats.initial_rank = initial_rank.value();

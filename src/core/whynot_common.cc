@@ -127,35 +127,4 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
   return Status::Ok();
 }
 
-StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
-                                 const SpatialKeywordQuery& query,
-                                 double min_score, int64_t limit,
-                                 bool* exceeded,
-                                 std::vector<ObjectId>* dominators,
-                                 const CancelToken* cancel, bool use_cache,
-                                 TraceRecorder* trace,
-                                 uint64_t* nodes_expanded) {
-  *exceeded = false;
-  TraceSpan span(trace, TraceStage::kRankQuery);
-  TopKIterator it(&tree, query, cancel, use_cache, trace);
-  uint32_t strictly_better = 0;
-  std::optional<ScoredObject> next;
-  for (;;) {
-    Status s = it.Next(&next);
-    if (!s.ok()) {
-      if (nodes_expanded != nullptr) *nodes_expanded += it.num_expanded();
-      return s;
-    }
-    if (!next || next->score <= min_score) break;
-    ++strictly_better;
-    if (dominators != nullptr) dominators->push_back(next->id);
-    if (limit > 0 && static_cast<int64_t>(strictly_better) + 1 > limit) {
-      *exceeded = true;
-      break;
-    }
-  }
-  if (nodes_expanded != nullptr) *nodes_expanded += it.num_expanded();
-  return strictly_better + 1;
-}
-
 }  // namespace wsk::internal

@@ -95,23 +95,6 @@ Status ValidateWhyNotInput(const SpatialKeywordQuery& original,
                            const std::vector<ObjectId>& missing,
                            const WhyNotOptions& options, size_t dataset_size);
 
-// R(M, query) = 1 + #objects scoring strictly above `min_score`, streamed
-// from the index. With `limit` > 0, gives up once the count proves the rank
-// exceeds `limit` (sets *exceeded). Dominator ids are appended to
-// *dominators when it is non-null. `cancel` aborts the underlying
-// traversal at node-visit granularity. `trace` receives a rank_query span
-// plus the traversal's node counters; *nodes_expanded (when non-null) is
-// incremented by the nodes this traversal materialized.
-StatusOr<uint32_t> RankFromIndex(const TopKSource& tree,
-                                 const SpatialKeywordQuery& query,
-                                 double min_score, int64_t limit,
-                                 bool* exceeded,
-                                 std::vector<ObjectId>* dominators,
-                                 const CancelToken* cancel = nullptr,
-                                 bool use_cache = true,
-                                 TraceRecorder* trace = nullptr,
-                                 uint64_t* nodes_expanded = nullptr);
-
 }  // namespace wsk::internal
 
 #endif  // WSK_CORE_WHYNOT_COMMON_H_

@@ -18,7 +18,6 @@ namespace wsk {
 namespace {
 
 using internal::MissingSet;
-using internal::RankFromIndex;
 using internal::WhyNotScorer;
 
 // Per-candidate search state during one Algorithm 3 batch. The frontier
@@ -537,12 +536,11 @@ StatusOr<WhyNotResult> AnswerWhyNotKcr(const ObjectStore& store,
   StatusOr<uint32_t> initial_rank = Status::Internal("unreachable");
   {
     TraceSpan span(options.trace, TraceStage::kInitialRank);
-    initial_rank = RankFromIndex(*source.rank_source, original,
-                                 initial_min_score,
-                                 /*limit=*/0, &exceeded, nullptr,
-                                 options.cancel, options.use_node_cache,
-                                 options.trace,
-                                 &result.stats.nodes_expanded);
+    initial_rank = IndexRankOfScore(
+        *source.rank_source, original, initial_min_score,
+        /*give_up_after_rank=*/0, &exceeded, options.cancel,
+        options.use_node_cache, options.trace, /*dominators=*/nullptr,
+        &result.stats.nodes_expanded);
   }
   if (!initial_rank.ok()) return initial_rank.status();
   result.stats.initial_rank = initial_rank.value();

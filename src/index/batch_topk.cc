@@ -1,26 +1,26 @@
 #include "index/batch_topk.h"
 
-#include <limits>
-#include <queue>
 #include <unordered_map>
 
 namespace wsk {
 
 namespace {
 
-// Per-query traversal state: exactly a solo TopKIterator's heap plus its
-// IndexTopK result accumulation, advanced in lockstep with the batch.
+// Per-query traversal state: exactly a solo IndexTopK walk — the same
+// frontier with the same k-floor — plus its result accumulation, advanced
+// in lockstep with the batch.
 struct QueryState {
-  const SpatialKeywordQuery* query = nullptr;
-  const CancelToken* cancel = nullptr;
-  std::priority_queue<SearchEntry, std::vector<SearchEntry>, SearchEntryLess>
-      heap;
+  QueryState(const BatchTopKRequest& request, PageId root)
+      : query(request.query), cancel(request.cancel), frontier(root) {
+    frontier.KeepBest(query->k);
+  }
+
+  const SpatialKeywordQuery* query;
+  const CancelToken* cancel;
+  SearchFrontier frontier;
   std::vector<ScoredObject> topk;
   Status status;
   bool done = false;
-  uint64_t nodes_seen = 0;
-  uint64_t nodes_visited = 0;
-  uint64_t objects_scored = 0;
 };
 
 // Pops ready objects until the query finishes or needs a node expansion.
@@ -28,18 +28,14 @@ struct QueryState {
 // an exhausted frontier ends the query with fewer than k.
 void DrainObjects(QueryState* q) {
   while (!q->done) {
-    if (q->topk.size() >= q->query->k) {
+    if (q->topk.size() >= q->query->k || q->frontier.empty()) {
       q->done = true;
       return;
     }
-    if (q->heap.empty()) {
-      q->done = true;
-      return;
-    }
-    const SearchEntry top = q->heap.top();
+    const SearchEntry& top = q->frontier.top();
     if (!top.is_object) return;  // frontier blocked on a node visit
-    q->heap.pop();
     q->topk.push_back(ScoredObject{top.object, top.bound});
+    q->frontier.Pop();
   }
 }
 
@@ -49,21 +45,11 @@ std::vector<BatchTopKResult> BatchedIndexTopK(
     const TopKSource& source, const std::vector<BatchTopKRequest>& requests,
     bool use_cache, TraceRecorder* trace) {
   TraceSpan span(trace, TraceStage::kBatchTopK);
-  std::vector<QueryState> states(requests.size());
   const PageId root = source.SearchRoot();
-  for (size_t i = 0; i < requests.size(); ++i) {
-    QueryState& q = states[i];
-    q.query = requests[i].query;
-    q.cancel = requests[i].cancel;
-    if (root == kInvalidPageId) {
-      q.done = true;  // empty index: every query finishes with no results
-      continue;
-    }
-    SearchEntry entry;
-    entry.bound = std::numeric_limits<double>::infinity();
-    entry.node = root;
-    q.heap.push(entry);
-    ++q.nodes_seen;
+  std::vector<QueryState> states;
+  states.reserve(requests.size());
+  for (const BatchTopKRequest& request : requests) {
+    states.emplace_back(request, root);
   }
 
   // Scheduling scratch, reused across rounds. Groups preserve first-seen
@@ -87,7 +73,7 @@ std::vector<BatchTopKResult> BatchedIndexTopK(
       DrainObjects(&q);
       if (q.done) continue;
       any_active = true;
-      const PageId node = q.heap.top().node;
+      const PageId node = q.frontier.top().node;
       auto [it, inserted] = group_of.emplace(node, group_nodes.size());
       if (inserted) {
         group_nodes.push_back(node);
@@ -105,7 +91,7 @@ std::vector<BatchTopKResult> BatchedIndexTopK(
         QueryState& q = states[i];
         // Same order as the solo iterator: the node entry is popped, then
         // the cancel token gates the expansion — the traversal's I/O unit.
-        q.heap.pop();
+        q.frontier.Pop();
         if (q.cancel != nullptr) {
           const Status check = q.cancel->Check();
           if (!check.ok()) {
@@ -140,36 +126,18 @@ std::vector<BatchTopKResult> BatchedIndexTopK(
       ++batch_nodes_expanded;
       batch_nodes_shared += live.size() - 1;
       for (size_t j = 0; j < live.size(); ++j) {
-        QueryState& q = states[live[j]];
-        ++q.nodes_visited;
-        for (const SearchEntry& child : expand_scratch[j]) {
-          if (child.is_object) {
-            ++q.objects_scored;
-          } else {
-            ++q.nodes_seen;
-          }
-          q.heap.push(child);
-        }
+        states[live[j]].frontier.PushChildren(expand_scratch[j]);
       }
     }
   }
 
   std::vector<BatchTopKResult> results(states.size());
-  uint64_t nodes_seen = 0;
-  uint64_t nodes_visited = 0;
-  uint64_t objects_scored = 0;
   for (size_t i = 0; i < states.size(); ++i) {
     results[i].status = states[i].status;
     if (states[i].status.ok()) results[i].topk = std::move(states[i].topk);
-    nodes_seen += states[i].nodes_seen;
-    nodes_visited += states[i].nodes_visited;
-    objects_scored += states[i].objects_scored;
+    states[i].frontier.ReportCounters(trace);
   }
   if (trace != nullptr) {
-    trace->Add(TraceCounter::kNodesSeen, nodes_seen);
-    trace->Add(TraceCounter::kNodesVisited, nodes_visited);
-    trace->Add(TraceCounter::kNodesPruned, nodes_seen - nodes_visited);
-    trace->Add(TraceCounter::kLeafObjectsScored, objects_scored);
     trace->Add(TraceCounter::kBatchQueries, states.size());
     trace->Add(TraceCounter::kBatchNodesExpanded, batch_nodes_expanded);
     trace->Add(TraceCounter::kBatchNodesShared, batch_nodes_shared);

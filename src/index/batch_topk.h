@@ -1,15 +1,15 @@
 // Multi-query best-first top-k: one shared index walk for N queries
 // (docs/BATCHING.md).
 //
-// Each query keeps its own frontier heap and result list running exactly
-// the solo TopKIterator semantics — same SearchEntryLess tie-breaks, same
-// pop order, same early termination at its own kth score — so every
-// query's top-k is bit-identical to IndexTopK run alone. The sharing is
-// purely physical: a round-based scheduler drains each query's ready
-// object emissions, then groups the still-active queries by the node at
-// the top of their frontiers and performs one ExpandNodeBatch per distinct
-// node, amortizing the page read, node decode, and cache probe across
-// every query that was about to open that node. Queries whose frontiers
+// Each query keeps its own SearchFrontier and result list running exactly
+// the solo IndexTopK semantics — same SearchEntryLess tie-breaks, same
+// pop order, same k-floor, same early termination at its own kth score —
+// so every query's top-k is bit-identical to IndexTopK run alone. The
+// sharing is purely physical: a round-based scheduler drains each query's
+// ready object emissions, then groups the still-active queries by the node
+// at the top of their frontiers and performs one ExpandNodeBatch per
+// distinct node, amortizing the page read, node decode, and cache probe
+// across every query that was about to open that node. Queries whose frontiers
 // diverge simply stop sharing; their walks degrade gracefully to solo
 // cost plus negligible bookkeeping.
 //

@@ -1,6 +1,5 @@
 #include "segment/segmented_engine.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/macros.h"
@@ -209,15 +208,9 @@ StatusOr<uint32_t> SegmentedEngine::Rank(const SpatialKeywordQuery& query,
   const double score = Score(*o, query, manager_->diagonal());
   MergedTopKSource source(plan.setr_segments, plan.extras,
                           manager_->diagonal(), nullptr);
-  TopKIterator it(&source, query);
-  uint32_t strictly_better = 0;
-  std::optional<ScoredObject> next;
-  for (;;) {
-    WSK_RETURN_IF_ERROR(it.Next(&next));
-    if (!next || next->score <= score) break;
-    ++strictly_better;
-  }
-  return strictly_better + 1;
+  bool exceeded = false;
+  return IndexRankOfScore(source, query, score, /*give_up_after_rank=*/0,
+                          &exceeded);
 }
 
 BackendIoSnapshot SegmentedEngine::io_snapshot() const {

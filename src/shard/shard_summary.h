@@ -37,7 +37,12 @@ inline void AbsorbObject(ShardSummary* summary, Point loc,
     summary->inter = doc;
     summary->has_objects = true;
   } else {
-    summary->uni = summary->uni.Union(doc);
+    // Skip the rebuild when the union already holds `doc` (the common case
+    // once it saturates); re-merging every document is quadratic in the
+    // shard's vocabulary.
+    if (summary->uni.IntersectionSize(doc) != doc.size()) {
+      summary->uni = summary->uni.Union(doc);
+    }
     summary->inter = summary->inter.Intersect(doc);
   }
 }

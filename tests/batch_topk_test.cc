@@ -1,14 +1,16 @@
 // Batched multi-query top-k (docs/BATCHING.md): BatchedIndexTopK must be
 // bit-identical to IndexTopK run solo for every query in the batch, on
 // both tree sources, across batch sizes, mixed similarity models (which
-// fall back to per-query leaf scoring), cancellation mid-batch, and k
-// larger than the dataset. The trace counters must account the
-// amortization exactly: every per-query node opening is either the
-// expansion that performed the physical work or a shared ride on one.
+// fall back to per-query leaf scoring), cancellation mid-batch, k larger
+// than the dataset (up to UINT32_MAX), and equal scores straddling leaves.
+// The trace counters must account the amortization exactly: every
+// per-query node opening is either the expansion that performed the
+// physical work or a shared ride on one.
 #include "index/batch_topk.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -146,6 +148,84 @@ TEST_F(BatchTopKTest, KLargerThanDatasetEmitsEverything) {
     q.k = static_cast<uint32_t>(dataset_.size()) + 10;
   }
   RunDifferential(*setr_tree_, queries, 4);
+}
+
+TEST_F(BatchTopKTest, UnboundedKEmitsEveryObjectInStreamOrder) {
+  // k is untrusted: UINT32_MAX must return the whole stream, never allocate
+  // by k.
+  std::vector<SpatialKeywordQuery> queries = MakeQueries(4);
+  std::vector<BatchTopKRequest> requests;
+  for (SpatialKeywordQuery& q : queries) {
+    q.k = std::numeric_limits<uint32_t>::max();
+    requests.push_back(BatchTopKRequest{&q, nullptr});
+  }
+  std::vector<BatchTopKResult> batched =
+      BatchedIndexTopK(*setr_tree_, requests);
+  ASSERT_EQ(batched.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
+    std::vector<ScoredObject> stream;
+    TopKIterator it(setr_tree_.get(), queries[i]);
+    std::optional<ScoredObject> next;
+    for (;;) {
+      ASSERT_TRUE(it.Next(&next).ok());
+      if (!next) break;
+      stream.push_back(*next);
+    }
+    EXPECT_EQ(stream.size(), dataset_.size());
+    ExpectBitIdentical(batched[i].topk, stream);
+  }
+}
+
+TEST_F(BatchTopKTest, TiesAcrossLeavesMatchSolo) {
+  // Equal scores straddling capacity-4 leaves (TiedScoresDataset), k at
+  // the boundaries: the batched k-floor must cut exactly where solo does,
+  // with the same node and object counts.
+  const Dataset tied = testing::TiedScoresDataset();
+  const uint32_t n = static_cast<uint32_t>(tied.size());
+  std::vector<SpatialKeywordQuery> queries;
+  for (const SpatialKeywordQuery& base : testing::TiedScoresQueries(tied)) {
+    for (uint32_t k : {1u, 5u, n - 1, n, n + 3}) {
+      queries.push_back(base);
+      queries.back().k = k;
+    }
+  }
+  TempFile setr_file("batch_tied_setr");
+  auto setr_pager = Pager::Create(setr_file.path()).value();
+  BufferPool setr_pool(setr_pager.get(), 1u << 20);
+  SetRTree::Options setr_options;
+  setr_options.capacity = 4;
+  auto setr = SetRTree::BulkLoad(tied, &setr_pool, setr_options).value();
+  TempFile kcr_file("batch_tied_kcr");
+  auto kcr_pager = Pager::Create(kcr_file.path()).value();
+  BufferPool kcr_pool(kcr_pager.get(), 1u << 20);
+  KcrTree::Options kcr_options;
+  kcr_options.capacity = 4;
+  auto kcr = KcrTree::BulkLoad(tied, &kcr_pool, kcr_options).value();
+
+  for (const TopKSource* source : {static_cast<const TopKSource*>(setr.get()),
+                                   static_cast<const TopKSource*>(kcr.get())}) {
+    for (size_t batch_size : {size_t{3}, queries.size()}) {
+      RunDifferential(*source, queries, batch_size);
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("query " + std::to_string(i));
+      TraceRecorder solo_trace(0);
+      ASSERT_TRUE(IndexTopK(*source, queries[i], nullptr, true, &solo_trace)
+                      .ok());
+      TraceRecorder batch_trace(0);
+      const BatchTopKRequest request{&queries[i], nullptr};
+      ASSERT_TRUE(BatchedIndexTopK(*source, {request}, true, &batch_trace)[0]
+                      .status.ok());
+      for (TraceCounter c :
+           {TraceCounter::kNodesSeen, TraceCounter::kNodesVisited,
+            TraceCounter::kLeafObjectsScored}) {
+        EXPECT_EQ(batch_trace.counter(c), solo_trace.counter(c))
+            << TraceCounterName(c);
+      }
+    }
+  }
 }
 
 TEST_F(BatchTopKTest, EmptyBatchReturnsEmpty) {

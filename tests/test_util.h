@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,62 @@ inline SpatialKeywordQuery Figure1Query(TermId t1, TermId t2) {
   q.k = 1;
   q.alpha = 0.5;
   return q;
+}
+
+// Equal scores that straddle leaves: runs of 7, 6 and 5 objects sharing
+// one location and one document (ids interleaved across the runs), plus six
+// distinct objects, 24 in all. With node capacity 4 every run spans at
+// least two leaves, and a leaf holding only copies has a node bound equal
+// to its objects' exact score, so the objects-before-nodes tie rule and a
+// floor equal to the k-th score are both exercised. Terms are "a".."d".
+inline Dataset TiedScoresDataset() {
+  Dataset d;
+  const TermId a = d.vocabulary().Intern("a");
+  const TermId b = d.vocabulary().Intern("b");
+  const TermId c = d.vocabulary().Intern("c");
+  const TermId t = d.vocabulary().Intern("d");
+  const Point spots[] = {{0.5, 0.5}, {0.2, 0.7}, {0.8, 0.1}};
+  const KeywordSet docs[] = {KeywordSet{a, b}, KeywordSet{a},
+                             KeywordSet{b, c}};
+  const int copies[] = {7, 6, 5};
+  for (int i = 0; i < 7; ++i) {
+    for (int g = 0; g < 3; ++g) {
+      if (i < copies[g]) d.Add(spots[g], docs[g]);
+    }
+  }
+  d.Add(Point{0.1, 0.1}, KeywordSet{a, c});
+  d.Add(Point{0.9, 0.9}, KeywordSet{b});
+  d.Add(Point{0.5, 0.52}, KeywordSet{a, b});
+  d.Add(Point{0.3, 0.3}, KeywordSet{t});
+  d.Add(Point{0.7, 0.6}, KeywordSet{a, t});
+  d.Add(Point{0.45, 0.5}, KeywordSet{b, c});
+  return d;
+}
+
+// Queries over TiedScoresDataset: two sit on a run's location with its
+// document, one sits between runs, and one's term appears in no run.
+inline std::vector<SpatialKeywordQuery> TiedScoresQueries(
+    const Dataset& d) {
+  const Vocabulary& v = d.vocabulary();
+  auto doc = [&v](std::initializer_list<const char*> terms) {
+    std::vector<TermId> ids;
+    for (const char* term : terms) ids.push_back(v.Find(term));
+    return KeywordSet(std::move(ids));
+  };
+  std::vector<SpatialKeywordQuery> queries(4);
+  queries[0].loc = Point{0.5, 0.5};
+  queries[0].doc = doc({"a", "b"});
+  queries[0].alpha = 0.5;
+  queries[1].loc = Point{0.2, 0.7};
+  queries[1].doc = doc({"a"});
+  queries[1].alpha = 0.3;
+  queries[2].loc = Point{0.6, 0.4};
+  queries[2].doc = doc({"b", "c"});
+  queries[2].alpha = 0.7;
+  queries[3].loc = Point{0.5, 0.5};
+  queries[3].doc = doc({"d"});
+  queries[3].alpha = 0.5;
+  return queries;
 }
 
 // Reference semantics for the keyword-adapted why-not query: enumerate

@@ -10,7 +10,6 @@ namespace wsk {
 namespace {
 
 using internal::MissingSet;
-using internal::RankFromIndex;
 using internal::ValidateWhyNotInput;
 using testing::TempFile;
 
@@ -88,7 +87,7 @@ TEST(ValidateTest, RejectsOutOfDomain) {
   EXPECT_FALSE(ValidateWhyNotInput(good, {1}, bad_options, 100).ok());
 }
 
-class RankFromIndexTest : public ::testing::Test {
+class IndexRankOfScoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     GeneratorConfig config;
@@ -111,7 +110,7 @@ class RankFromIndexTest : public ::testing::Test {
   std::unique_ptr<SetRTree> tree_;
 };
 
-TEST_F(RankFromIndexTest, MatchesBruteForceSetRank) {
+TEST_F(IndexRankOfScoreTest, MatchesBruteForceSetRank) {
   SpatialKeywordQuery q;
   q.loc = Point{0.3, 0.3};
   q.doc = dataset_.object(4).doc;
@@ -121,12 +120,12 @@ TEST_F(RankFromIndexTest, MatchesBruteForceSetRank) {
   const double min_score = set.MinScore(q, tree_->diagonal());
   bool exceeded = false;
   const uint32_t rank =
-      RankFromIndex(*tree_, q, min_score, 0, &exceeded, nullptr).value();
+      IndexRankOfScore(*tree_, q, min_score, 0, &exceeded).value();
   EXPECT_FALSE(exceeded);
   EXPECT_EQ(rank, testing::BruteForceSetRank(dataset_, q, missing));
 }
 
-TEST_F(RankFromIndexTest, CollectsDominators) {
+TEST_F(IndexRankOfScoreTest, CollectsDominators) {
   SpatialKeywordQuery q;
   q.loc = Point{0.3, 0.3};
   q.doc = dataset_.object(4).doc;
@@ -135,21 +134,23 @@ TEST_F(RankFromIndexTest, CollectsDominators) {
   bool exceeded = false;
   std::vector<ObjectId> dominators;
   const uint32_t rank =
-      RankFromIndex(*tree_, q, target, 0, &exceeded, &dominators).value();
+      IndexRankOfScore(*tree_, q, target, 0, &exceeded, nullptr, true,
+                       nullptr, &dominators)
+          .value();
   EXPECT_EQ(dominators.size() + 1, rank);
   for (ObjectId id : dominators) {
     EXPECT_GT(Score(dataset_.object(id), q, tree_->diagonal()), target);
   }
 }
 
-TEST_F(RankFromIndexTest, LimitShortCircuits) {
+TEST_F(IndexRankOfScoreTest, LimitShortCircuits) {
   SpatialKeywordQuery q;
   q.loc = Point{0.3, 0.3};
   q.doc = dataset_.object(4).doc;
   q.alpha = 0.5;
   bool exceeded = false;
   const uint32_t rank =
-      RankFromIndex(*tree_, q, -10.0, 5, &exceeded, nullptr).value();
+      IndexRankOfScore(*tree_, q, -10.0, 5, &exceeded).value();
   EXPECT_TRUE(exceeded);
   EXPECT_EQ(rank, 6u);
 }
