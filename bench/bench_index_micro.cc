@@ -4,14 +4,10 @@
 // the why-not figures.
 #include "bench_common.h"
 
-#include <unistd.h>
-
 #include <chrono>
 
 #include "common/rng.h"
-#include "index/inverted_grid_index.h"
 #include "index/topk.h"
-#include "storage/node_codec_v2.h"
 
 namespace {
 
@@ -58,8 +54,8 @@ void RunTopK(benchmark::State& state, const wsk::TopKSource& tree,
 // criterion for the cache layer is cache_speedup >= 2 (docs/PERF.md); the
 // regression checker enforces it via the `cache_speedup` counter
 // (--min-cache-speedup). Both legs run against a warm buffer pool, so the
-// ratio isolates what the cache saves: page fetches, node decoding, blob
-// reads, and per-node artifact construction.
+// ratio isolates what the cache saves: page fetches, record decoding, and
+// per-node artifact construction.
 void RunNodeAccess(benchmark::State& state, const wsk::TopKSource& tree,
                    uint32_t k) {
   using namespace wsk;
@@ -103,17 +99,12 @@ void RunNodeAccess(benchmark::State& state, const wsk::TopKSource& tree,
   state.counters["cache_speedup"] = off_ns / on_ns;
 }
 
-// v1-vs-v2 node decode (docs/STORAGE.md "v2 node format & mmap"): three
-// sibling engines over the shared dataset — {v1 pread, v2 pread, v2 mmap}
-// — each with the decoded-node cache disabled so every sweep re-decodes
-// every record, timed over a full-tree breadth-first decode of both
-// indexes. The buffered legs run against a warm buffer pool, so the
-// ratios isolate the record format and read path: v1 pays the pool fetch,
-// fixed-layout copy, and per-entry blob-store reads; v2 decodes inline
-// delta-varints, and the mmap leg does so straight from the map with no
-// page copy at all. The regression gates key off `decode_speedup`
-// (v1 / v2+mmap, --min-decode-speedup) and `v2_size_ratio`
-// (--max-v2-size-ratio).
+// Full-tree node decode by read path (docs/STORAGE.md "Read paths"): two
+// sibling engines over the shared dataset — {pread, mmap} — each with the
+// decoded-node cache disabled so every sweep re-decodes every record,
+// timed over a breadth-first decode of both indexes. The pread leg runs
+// against a warm buffer pool, so the pair isolates what the mapping saves:
+// the pool fetch and, for multi-page records, the gathered copy.
 template <typename Tree>
 std::vector<wsk::PageId> CollectNodePages(const Tree& tree) {
   using namespace wsk;
@@ -139,23 +130,18 @@ void RunNodeDecode(benchmark::State& state) {
   using namespace wsk;
   WhyNotEngine& shared = wsk::bench::SharedEngine();
   struct Leg {
-    uint8_t format = kNodeFormatV2;
-    bool mmap = false;
     std::unique_ptr<WhyNotEngine> engine;
     std::vector<PageId> setr_pages;
     std::vector<PageId> kcr_pages;
   };
-  Leg legs[3];
-  legs[0].format = kNodeFormatV1;
-  legs[2].mmap = true;
-  for (Leg& leg : legs) {
+  Leg legs[2];
+  for (int i = 0; i < 2; ++i) {
     WhyNotEngine::Config config;
-    config.node_format = leg.format;
-    config.mmap_reads = leg.mmap;
+    config.mmap_reads = i == 1;
     config.node_cache_bytes = 0;  // raw decode cost, not the cache
-    leg.engine = WhyNotEngine::Build(&shared.dataset(), config).value();
-    leg.setr_pages = CollectNodePages(leg.engine->setr_tree());
-    leg.kcr_pages = CollectNodePages(leg.engine->kcr_tree());
+    legs[i].engine = WhyNotEngine::Build(&shared.dataset(), config).value();
+    legs[i].setr_pages = CollectNodePages(legs[i].engine->setr_tree());
+    legs[i].kcr_pages = CollectNodePages(legs[i].engine->kcr_tree());
   }
   auto sweep = [](const Leg& leg) {
     size_t decoded = 0;
@@ -173,7 +159,7 @@ void RunNodeDecode(benchmark::State& state) {
     }
     return decoded;
   };
-  // Warm the buffered legs' pools (the mapped leg has nothing to warm).
+  // Warm the pread leg's pool (the mapped leg has nothing to warm).
   for (const Leg& leg : legs) benchmark::DoNotOptimize(sweep(leg));
   auto time_ns = [](auto&& fn) {
     using Clock = std::chrono::steady_clock;
@@ -189,79 +175,25 @@ void RunNodeDecode(benchmark::State& state) {
       reps *= 4;
     }
   };
-  double ns[3] = {0.0, 0.0, 0.0};
+  double ns[2] = {0.0, 0.0};
   for (auto _ : state) {
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       ns[i] = time_ns([&sweep, &leg = legs[i]] { return sweep(leg); });
     }
   }
-  auto file_bytes = [](const WhyNotEngine& engine) {
-    return static_cast<double>(
-        (static_cast<uint64_t>(engine.setr_pager().num_pages()) +
-         engine.kcr_pager().num_pages()) *
-        engine.setr_pager().page_size());
-  };
-  const double v1_bytes = file_bytes(*legs[0].engine);
-  const double v2_bytes = file_bytes(*legs[1].engine);
-  const BackendIoSnapshot mapped_io = legs[2].engine->io_snapshot();
-  state.counters["v1_decode_ns"] = ns[0];
-  state.counters["v2_decode_ns"] = ns[1];
-  state.counters["v2_mmap_decode_ns"] = ns[2];
-  state.counters["v1_bytes"] = v1_bytes;
-  state.counters["v2_bytes"] = v2_bytes;
-  state.counters["v2_size_ratio"] = v2_bytes / v1_bytes;
-  state.counters["decode_speedup"] = ns[0] / ns[2];
-  state.counters["v2_mapped_reads"] =
+  const WhyNotEngine& engine = *legs[0].engine;
+  const BackendIoSnapshot mapped_io = legs[1].engine->io_snapshot();
+  state.counters["pread_decode_ns"] = ns[0];
+  state.counters["mmap_decode_ns"] = ns[1];
+  state.counters["index_bytes"] = static_cast<double>(
+      (static_cast<uint64_t>(engine.setr_pager().num_pages()) +
+       engine.kcr_pager().num_pages()) *
+      engine.setr_pager().page_size());
+  // Reads of the mapped leg: all through the map, none physical.
+  state.counters["mapped_reads"] =
       static_cast<double>(mapped_io.setr_mapped + mapped_io.kcr_mapped);
-  state.counters["v2_physical_reads"] =
+  state.counters["physical_reads"] =
       static_cast<double>(mapped_io.setr_physical + mapped_io.kcr_physical);
-}
-
-// The inverted-file + grid baseline (related-work architecture) against
-// the same workload.
-struct InvertedBundle {
-  std::string path;
-  std::unique_ptr<wsk::Pager> pager;
-  std::unique_ptr<wsk::BufferPool> pool;
-  std::unique_ptr<wsk::InvertedGridIndex> index;
-};
-
-InvertedBundle& SharedInverted() {
-  using namespace wsk;
-  static auto* bundle = [] {
-    auto* b = new InvertedBundle();
-    b->path = "/tmp/wsk_bench_invgrid_" + std::to_string(getpid()) + ".idx";
-    b->pager = Pager::Create(b->path).value();
-    b->pool = std::make_unique<BufferPool>(b->pager.get(), 512 * 1024);
-    InvertedGridIndex::Options options;
-    b->index = InvertedGridIndex::Build(wsk::bench::SharedEngine().dataset(),
-                                        b->pool.get(), options)
-                   .value();
-    b->pager->io_stats().Reset();
-    return b;
-  }();
-  return *bundle;
-}
-
-void RunInvertedTopK(benchmark::State& state, uint32_t k) {
-  using namespace wsk;
-  InvertedBundle& bundle = SharedInverted();
-  // Identical workload to the tree benchmarks.
-  const std::vector<SpatialKeywordQuery> queries =
-      MakeQueries(wsk::bench::SharedEngine().dataset(), k);
-  double total_io = 0;
-  uint64_t runs = 0;
-  for (auto _ : state) {
-    for (const SpatialKeywordQuery& q : queries) {
-      const uint64_t before = bundle.pager->io_stats().physical_reads();
-      benchmark::DoNotOptimize(bundle.index->TopK(q).value());
-      total_io += static_cast<double>(
-          bundle.pager->io_stats().physical_reads() - before);
-      ++runs;
-    }
-  }
-  state.counters["avg_io"] = runs == 0 ? 0.0 : total_io / runs;
-  state.counters["queries"] = static_cast<double>(runs);
 }
 
 }  // namespace
@@ -285,11 +217,6 @@ int main(int argc, char** argv) {
         })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("topk/InvertedGrid/k=" + std::to_string(k)).c_str(),
-        [k](benchmark::State& state) { RunInvertedTopK(state, k); })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
   }
   // Decoded-node cache on/off over the warm k=10 workload (one datapoint
   // per tree; the ratio is what the regression gate cares about).
@@ -307,14 +234,11 @@ int main(int argc, char** argv) {
                                })
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
-  // v1 vs v2 record format and read path over both indexes (one datapoint;
-  // the regression gates care about decode_speedup and v2_size_ratio).
+  // pread vs mmap full-tree decode over both indexes (one datapoint).
   benchmark::RegisterBenchmark(
       "node_decode/all",
       [](benchmark::State& state) { RunNodeDecode(state); })
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
-  const int rc = RunRegisteredBenchmarks(argc, argv);
-  std::remove(SharedInverted().path.c_str());
-  return rc;
+  return RunRegisteredBenchmarks(argc, argv);
 }

@@ -11,9 +11,9 @@ namespace wsk {
 
 inline constexpr const char kBuildVersion[] = "0.10.0";
 
-// Newest on-disk node format this build can read and write
-// (storage/node_codec_v2.h); surfaced as the node_format label.
-inline constexpr const char kNodeFormatName[] = "v1+v2";
+// The on-disk node format this build reads and writes
+// (storage/node_codec_v2.h); surfaced as the index_format label.
+inline constexpr const char kNodeFormatName[] = "v2";
 
 inline const char* BuildIsa() {
 #ifdef WSK_ISA_STRING

@@ -64,7 +64,6 @@ StatusOr<std::unique_ptr<WhyNotEngine>> WhyNotEngine::Build(
   SetRTree::Options setr_options;
   setr_options.capacity = config.node_capacity;
   setr_options.model = config.model;
-  setr_options.format = config.node_format;
   StatusOr<std::unique_ptr<SetRTree>> setr =
       SetRTree::BulkLoad(*dataset, engine->setr_pool_.get(), setr_options);
   if (!setr.ok()) return setr.status();
@@ -73,7 +72,6 @@ StatusOr<std::unique_ptr<WhyNotEngine>> WhyNotEngine::Build(
   KcrTree::Options kcr_options;
   kcr_options.capacity = config.node_capacity;
   kcr_options.model = config.model;
-  kcr_options.format = config.node_format;
   StatusOr<std::unique_ptr<KcrTree>> kcr =
       KcrTree::BulkLoad(*dataset, engine->kcr_pool_.get(), kcr_options);
   if (!kcr.ok()) return kcr.status();

@@ -40,12 +40,11 @@ class WhyNotEngine : public QueryBackend {
     // bulk load (docs/STORAGE.md "Node cache"). 0 disables the cache
     // entirely (every node access re-reads and re-decodes pages).
     size_t node_cache_bytes = 8u << 20;  // 8 MiB
-    // Node format for the built indexes and whether to serve reads from an
-    // mmap of the finalized files. Both default to the paper's setup (v1,
-    // buffered) so physical-read counts keep matching the published I/O
-    // accounting; frozen segments opt into v2+mmap on their own
-    // (docs/STORAGE.md "v2 node format & mmap").
-    uint8_t node_format = kNodeFormatV1;
+    // Serve reads from an mmap of the finalized files instead of the
+    // buffer pool. Off by default, the paper's setup: every node access is
+    // a buffered page fetch, so physical-read counts follow the published
+    // I/O accounting. Frozen segments map their files
+    // (docs/STORAGE.md "Read paths").
     bool mmap_reads = false;
   };
 

@@ -6,10 +6,11 @@
 // for a candidate keyword set, how many objects under a node dominate the
 // missing object (MaxDom / MinDom, see dom_bounds.h) without unfolding it.
 //
-// The storage scheme mirrors the SetR-tree: fixed node slots plus a blob
-// store for the maps; the metadata page additionally records the root's own
-// cnt / MBR / kcm so a traversal can bound the whole tree before the first
-// node access (Algorithm 3, lines 2-6).
+// The storage scheme mirrors the SetR-tree: one compact record per node
+// with the maps inline. The metadata page additionally records the root's
+// own cnt / MBR and the page of a record holding the root kcm, so a
+// traversal can bound the whole tree before the first node access
+// (Algorithm 3, lines 2-6).
 #ifndef WSK_INDEX_KCR_TREE_H_
 #define WSK_INDEX_KCR_TREE_H_
 
@@ -22,12 +23,10 @@
 #include "data/query.h"
 #include "index/dom_bounds.h"
 #include "index/keyword_count_map.h"
+#include "index/node_codec.h"
 #include "index/topk.h"
-#include "index/setr_tree.h"  // NodeStat
-#include "storage/blob_store.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_cache.h"
-#include "storage/node_codec_v2.h"
 #include "text/similarity.h"
 
 namespace wsk {
@@ -37,23 +36,19 @@ class KcrTree : public TopKSource {
   struct Options {
     uint32_t capacity = 100;
     SimilarityModel model = SimilarityModel::kJaccard;
-    // Node format for newly built trees; see SetRTree::Options::format.
-    // v2 is bulk-load only and immutable; Open() detects the format from
-    // the meta page. The root kcm stays a blob in both formats.
-    uint8_t format = kNodeFormatV1;
   };
 
+  // The structural part of an entry; its payload (pks, or pcm) sits beside
+  // it in DecodedNode.
   struct LeafEntry {
     ObjectId object = kInvalidObjectId;
     Point loc;
-    BlobRef keywords;  // pks
   };
 
   struct InnerEntry {
     PageId child = kInvalidPageId;
     Rect mbr;
     uint32_t cnt = 0;  // objects in the child's subtree
-    BlobRef kcm;       // pcm
   };
 
   struct Node {
@@ -64,7 +59,6 @@ class KcrTree : public TopKSource {
     size_t size() const {
       return is_leaf ? leaf_entries.size() : inner_entries.size();
     }
-    Rect ComputeMbr() const;
   };
 
   static StatusOr<std::unique_ptr<KcrTree>> BulkLoad(
@@ -74,18 +68,12 @@ class KcrTree : public TopKSource {
   static StatusOr<std::unique_ptr<KcrTree>> BulkLoadObjects(
       const std::vector<SpatialObject>& objects, double diagonal,
       BufferPool* pool, const Options& options);
-  static StatusOr<std::unique_ptr<KcrTree>> CreateEmpty(
-      BufferPool* pool, double diagonal, const Options& options);
+  // Reopens a finalized index file. A meta page of any other format
+  // version is Corruption naming that version.
   static StatusOr<std::unique_ptr<KcrTree>> Open(BufferPool* pool);
 
-  Status Insert(const SpatialObject& object);
-
-  // Removes the object (matched by id; `loc` guides the descent). Ancestor
-  // counts and keyword-count maps are recomputed; emptied nodes are
-  // unlinked (lazy deletion, no min-fill enforcement). Returns NotFound if
-  // the object is absent.
-  Status Remove(ObjectId object, Point loc);
-
+  // Writes the metadata page and flushes all dirty buffers (bulk load
+  // already calls it).
   Status Finalize();
 
   // TopKSource (used to determine R(m, q), Algorithm 4 line 1):
@@ -101,8 +89,8 @@ class KcrTree : public TopKSource {
                          bool use_cache) const override;
 
   // A node decoded all the way down: the structural entries plus every
-  // entry payload materialized from the blob store, and the
-  // query-independent dominator statistics precomputed per child. Immutable
+  // inline entry payload, and the query-independent dominator statistics
+  // precomputed per child. Immutable
   // once built — this is the unit the NodeCache shares across queries.
   struct DecodedNode {
     Node node;
@@ -135,7 +123,6 @@ class KcrTree : public TopKSource {
   double diagonal() const { return diagonal_; }
   uint32_t height() const { return height_; }
   uint64_t num_objects() const { return num_objects_; }
-  uint32_t pages_per_node() const { return pages_per_node_; }
   const Options& options() const { return options_; }
 
   // Root summary for Algorithm 3's initial bounds.
@@ -143,13 +130,12 @@ class KcrTree : public TopKSource {
   uint32_t root_cnt() const { return root_cnt_; }
   StatusOr<KeywordCountMap> ReadRootKcm() const;
 
-  // For v2 trees the returned entries carry empty BlobRefs — payloads are
-  // inline; use ReadDecodedNode for them.
+  // The structural entries of one node, uncached. Use ReadDecodedNode for
+  // the payloads.
   StatusOr<Node> ReadNode(PageId page) const;
-  StatusOr<KeywordSet> ReadKeywordSet(const BlobRef& ref) const;
-  StatusOr<KeywordCountMap> ReadKcm(const BlobRef& ref) const;
 
-  // Layout facts of one node without materializing payloads.
+  // Layout facts of one node from its record header alone (no payload
+  // decode).
   StatusOr<NodeStat> StatNode(PageId page) const;
 
  private:
@@ -161,53 +147,23 @@ class KcrTree : public TopKSource {
     uint32_t cnt = 0;
   };
 
-  struct ChildUpdate {
-    Summary updated;
-    bool split = false;
-    PageId new_child = kInvalidPageId;
-    Summary sibling;
-  };
-
-  PageId AllocateNodeSlot();
-  StatusOr<std::shared_ptr<const DecodedNode>> MaterializeNode(
-      PageId page) const;
-  StatusOr<std::shared_ptr<const DecodedNode>> MaterializeNodeV2(
-      PageId page) const;
-  // v2 write path: encodes the node with its payloads inline (leaves:
-  // per-entry docs; inner: per-entry count maps) and appends it to fresh
-  // pages.
-  StatusOr<PageId> AppendNodeV2(
-      const Node& node, const std::vector<const KeywordSet*>& docs,
-      const std::vector<const KeywordCountMap*>& kcms,
-      bool children_are_leaves);
-  Status WriteNode(PageId page, const Node& node);
-  StatusOr<BlobRef> WriteKeywordSet(const KeywordSet& set);
-  StatusOr<BlobRef> WriteKcm(const KeywordCountMap& map);
+  StatusOr<std::shared_ptr<const DecodedNode>> DecodeNode(PageId page) const;
+  // Encodes the node with its payloads inline (leaves: per-entry docs;
+  // inner: per-entry count maps) and appends it to fresh pages.
+  StatusOr<PageId> AppendNode(const Node& node,
+                              const std::vector<const KeywordSet*>& docs,
+                              const std::vector<const KeywordCountMap*>& kcms,
+                              bool children_are_leaves);
   Status WriteMeta();
   Status ReadMeta();
-
-  StatusOr<Summary> ComputeSummary(const Node& node) const;
-  Status InsertInto(PageId page, uint32_t level, const SpatialObject& object,
-                    BlobRef keywords_ref, ChildUpdate* out);
-
-  struct RemoveUpdate {
-    bool found = false;
-    bool now_empty = false;
-    Summary updated;
-  };
-  Status RemoveFrom(PageId page, uint32_t level, ObjectId object, Point loc,
-                    RemoveUpdate* out);
-  void QuadraticSplit(Node* node, Node* sibling) const;
 
   BufferPool* const pool_;
   NodeCache* cache_ = nullptr;  // not owned; see AttachNodeCache
   uint32_t cache_tree_id_ = 0;
-  mutable BlobStore blobs_;
-  // First-touch body-checksum ledger for v2 records (v2 trees are
-  // immutable, so one clean verification per record is enough).
+  // First-touch body-checksum ledger (the tree is immutable, so one clean
+  // verification per record is enough).
   mutable ChecksumLedger checksum_ledger_;
   Options options_;
-  uint32_t pages_per_node_ = 0;
   PageId meta_page_ = kInvalidPageId;
   PageId root_ = kInvalidPageId;
   uint32_t height_ = 0;
@@ -215,7 +171,8 @@ class KcrTree : public TopKSource {
   double diagonal_ = 1.0;
   Rect root_mbr_;
   uint32_t root_cnt_ = 0;
-  BlobRef root_kcm_;
+  // First page of the single-entry record holding the root kcm.
+  PageId root_kcm_page_ = kInvalidPageId;
 };
 
 }  // namespace wsk

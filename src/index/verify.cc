@@ -17,27 +17,29 @@ struct SetRFacts {
   uint64_t objects = 0;
 };
 
-// Walks over fully materialized nodes (ReadDecodedNode, uncached), which
-// makes the checks format-agnostic: v1 payloads come from the blob store,
-// v2 payloads decode inline, and the invariants are identical. blobs_read
-// counts verified payloads either way, so expectations carry across
-// formats.
-Status WalkSetR(const SetRTree& tree, PageId page, uint32_t level,
-                VerifyStats* stats, SetRFacts* out) {
-  // Structural checks run on the bare node before any payload is
-  // materialized: a node whose header lies about its kind carries garbage
-  // payload references, and dereferencing them must not happen.
-  StatusOr<SetRTree::Node> head = tree.ReadNode(page);
+// Structural checks on the record header alone, before any entry is
+// decoded: a header that lies about its kind or count makes the body parse
+// as garbage, and the diagnostic should name the header fault.
+template <typename Tree>
+Status CheckHeader(const Tree& tree, PageId page, uint32_t level,
+                   VerifyStats* stats) {
+  StatusOr<NodeStat> head = tree.StatNode(page);
   if (!head.ok()) return head.status();
   ++stats->nodes_visited;
-
-  if (head.value().size() == 0) return CorruptionAt(page, "empty node");
-  if (head.value().size() > tree.options().capacity) {
+  if (head.value().entries == 0) return CorruptionAt(page, "empty node");
+  if (head.value().entries > tree.options().capacity) {
     return CorruptionAt(page, "fan-out exceeds capacity");
   }
   if (head.value().is_leaf != (level == 1)) {
     return CorruptionAt(page, "leaf flag inconsistent with depth");
   }
+  return Status::Ok();
+}
+
+// Walks over fully decoded nodes (ReadDecodedNode, uncached).
+Status WalkSetR(const SetRTree& tree, PageId page, uint32_t level,
+                VerifyStats* stats, SetRFacts* out) {
+  WSK_RETURN_IF_ERROR(CheckHeader(tree, page, level, stats));
 
   StatusOr<std::shared_ptr<const SetRTree::DecodedNode>> read =
       tree.ReadDecodedNode(page, /*use_cache=*/false);
@@ -51,7 +53,7 @@ Status WalkSetR(const SetRTree& tree, PageId page, uint32_t level,
     for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
       const SetRTree::LeafEntry& e = node.leaf_entries[i];
       const KeywordSet& doc = decoded.leaf_docs[i];
-      ++stats->blobs_read;
+      ++stats->payloads_read;
       ++stats->objects_seen;
       facts.mbr.Extend(e.loc);
       facts.uni = facts.uni.Union(doc);
@@ -69,7 +71,7 @@ Status WalkSetR(const SetRTree& tree, PageId page, uint32_t level,
       }
       const KeywordSet& uni = decoded.child_union[i];
       const KeywordSet& inter = decoded.child_inter[i];
-      stats->blobs_read += 2;
+      stats->payloads_read += 2;
       if (!(uni == child.uni)) {
         return CorruptionAt(page, "entry union set differs from subtree");
       }
@@ -96,18 +98,7 @@ struct KcrFacts {
 
 Status WalkKcr(const KcrTree& tree, PageId page, uint32_t level,
                VerifyStats* stats, KcrFacts* out) {
-  // Same ordering as WalkSetR: structural checks before payloads.
-  StatusOr<KcrTree::Node> head = tree.ReadNode(page);
-  if (!head.ok()) return head.status();
-  ++stats->nodes_visited;
-
-  if (head.value().size() == 0) return CorruptionAt(page, "empty node");
-  if (head.value().size() > tree.options().capacity) {
-    return CorruptionAt(page, "fan-out exceeds capacity");
-  }
-  if (head.value().is_leaf != (level == 1)) {
-    return CorruptionAt(page, "leaf flag inconsistent with depth");
-  }
+  WSK_RETURN_IF_ERROR(CheckHeader(tree, page, level, stats));
 
   StatusOr<std::shared_ptr<const KcrTree::DecodedNode>> read =
       tree.ReadDecodedNode(page, /*use_cache=*/false);
@@ -119,7 +110,7 @@ Status WalkKcr(const KcrTree& tree, PageId page, uint32_t level,
   if (node.is_leaf) {
     for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
       const KcrTree::LeafEntry& e = node.leaf_entries[i];
-      ++stats->blobs_read;
+      ++stats->payloads_read;
       ++stats->objects_seen;
       facts.mbr.Extend(e.loc);
       facts.kcm.AddDoc(decoded.leaf_docs[i]);
@@ -136,7 +127,7 @@ Status WalkKcr(const KcrTree& tree, PageId page, uint32_t level,
       if (e.cnt != child.objects) {
         return CorruptionAt(page, "entry cnt differs from subtree");
       }
-      ++stats->blobs_read;
+      ++stats->payloads_read;
       if (!(decoded.child_kcms[i] == child.kcm)) {
         return CorruptionAt(page, "entry keyword-count map differs");
       }

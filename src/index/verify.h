@@ -9,7 +9,7 @@
 //     union/intersection;
 //   * KcR: entry cnt and keyword-count map equal the recomputed subtree
 //     aggregates, and the root summary in the metadata matches;
-//   * every referenced blob deserializes;
+//   * every node record passes its checksum and decodes;
 //   * the number of reachable objects equals num_objects().
 // Returns OK or a Corruption status naming the first violated invariant.
 #ifndef WSK_INDEX_VERIFY_H_
@@ -24,7 +24,7 @@ namespace wsk {
 struct VerifyStats {
   uint64_t nodes_visited = 0;
   uint64_t objects_seen = 0;
-  uint64_t blobs_read = 0;
+  uint64_t payloads_read = 0;  // keyword sets / count maps checked
 };
 
 Status VerifySetRTree(const SetRTree& tree, VerifyStats* stats = nullptr);

@@ -63,7 +63,6 @@ StatusOr<std::shared_ptr<FrozenSegment>> FrozenSegment::Build(
   SetRTree::Options setr_options;
   setr_options.capacity = options.node_capacity;
   setr_options.model = options.model;
-  setr_options.format = options.node_format;
   StatusOr<std::unique_ptr<SetRTree>> setr = SetRTree::BulkLoadObjects(
       segment->objects_, diagonal, segment->setr_pool_.get(), setr_options);
   if (!setr.ok()) return setr.status();
@@ -72,7 +71,6 @@ StatusOr<std::shared_ptr<FrozenSegment>> FrozenSegment::Build(
   KcrTree::Options kcr_options;
   kcr_options.capacity = options.node_capacity;
   kcr_options.model = options.model;
-  kcr_options.format = options.node_format;
   StatusOr<std::unique_ptr<KcrTree>> kcr = KcrTree::BulkLoadObjects(
       segment->objects_, diagonal, segment->kcr_pool_.get(), kcr_options);
   if (!kcr.ok()) return kcr.status();

@@ -61,10 +61,6 @@ class FrozenSegment {
     size_t buffer_bytes = 4u << 20;
     uint32_t node_capacity = 100;
     SimilarityModel model = SimilarityModel::kJaccard;
-    // Frozen segments are immutable by construction, which makes them the
-    // natural home for the compact static node format: smaller files and
-    // zero-copy decode. v1 remains available for differential runs.
-    uint8_t node_format = kNodeFormatV2;
     // Switch both pagers to mmap-backed reads after the build finalizes.
     // Falls back silently to the buffered pread path if the platform (or
     // an empty file) cannot map.

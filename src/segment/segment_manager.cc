@@ -46,7 +46,6 @@ Status SegmentManager::SeedFrozen(std::vector<SpatialObject> objects) {
     seg_options.buffer_bytes = options_.buffer_bytes;
     seg_options.node_capacity = options_.node_capacity;
     seg_options.model = options_.model;
-    seg_options.node_format = options_.node_format;
     seg_options.mmap_reads = options_.mmap_reads;
     StatusOr<std::shared_ptr<FrozenSegment>> built = FrozenSegment::Build(
         std::move(objects), diagonal_, seg_options, node_cache_, &retired_);
@@ -278,7 +277,6 @@ void SegmentManager::RunMerge() {
     seg_options.buffer_bytes = options_.buffer_bytes;
     seg_options.node_capacity = options_.node_capacity;
     seg_options.model = options_.model;
-    seg_options.node_format = options_.node_format;
     seg_options.mmap_reads = options_.mmap_reads;
     StatusOr<std::shared_ptr<FrozenSegment>> built = FrozenSegment::Build(
         std::move(objects), diagonal_, seg_options, node_cache_, &retired_);

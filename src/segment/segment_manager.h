@@ -61,9 +61,8 @@ class SegmentManager {
     size_t buffer_bytes = 4u << 20;
     uint32_t node_capacity = 100;
     SimilarityModel model = SimilarityModel::kJaccard;
-    // Node format and read mode for frozen segments (see
-    // FrozenSegment::Options). Deltas are in-memory and unaffected.
-    uint8_t node_format = kNodeFormatV2;
+    // Read mode for frozen segments (see FrozenSegment::Options). Deltas
+    // are in-memory and unaffected.
     bool mmap_reads = true;
     // Active-delta rotation threshold: when the active delta reaches this
     // many entries it is sealed and (with auto_merge) a compaction starts.

@@ -111,17 +111,24 @@ std::string MetricsRegistry::PrometheusText() const {
   }
   for (const auto& [name, histogram] : histograms_) {
     const LatencyHistogram::Snapshot s = histogram->TakeSnapshot();
-    const std::string pname = PrometheusName(name);
-    out += "# HELP " + pname + " Distribution of " + name +
-           " samples (seconds).\n";
+    // Millisecond histograms (`a.b.ms`) are exported in seconds under
+    // `wsk_a_b_seconds`; any other histogram (e.g. batch occupancy, in
+    // items) keeps its recorded unit and its name.
+    const bool ms = name.size() > 3 &&
+                    name.compare(name.size() - 3, 3, ".ms") == 0;
+    const std::string pname =
+        ms ? PrometheusName(name.substr(0, name.size() - 3)) + "_seconds"
+           : PrometheusName(name);
+    const double per_unit = ms ? 1000.0 : 1.0;  // recorded per exported
+    out += "# HELP " + pname + " Distribution of " + name + " samples" +
+           (ms ? " (seconds).\n" : ".\n");
     out += "# TYPE " + pname + " histogram\n";
     uint64_t cumulative = 0;
     for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
       cumulative += s.bucket_counts[i];
-      // Bucket bounds are milliseconds internally; Prometheus convention
-      // for *_seconds-style latencies is seconds, so convert.
       std::snprintf(line, sizeof(line), "%s_bucket{le=\"%.9g\"} %llu\n",
-                    pname.c_str(), LatencyHistogram::BucketBoundMs(i) / 1000.0,
+                    pname.c_str(),
+                    LatencyHistogram::BucketBoundMs(i) / per_unit,
                     static_cast<unsigned long long>(cumulative));
       out += line;
     }
@@ -129,16 +136,16 @@ std::string MetricsRegistry::PrometheusText() const {
                   pname.c_str(), static_cast<unsigned long long>(s.count));
     out += line;
     std::snprintf(line, sizeof(line), "%s_sum %.9g\n", pname.c_str(),
-                  s.sum_ms / 1000.0);
+                  s.sum_ms / per_unit);
     out += line;
     std::snprintf(line, sizeof(line), "%s_count %llu\n", pname.c_str(),
                   static_cast<unsigned long long>(s.count));
     out += line;
-    out += "# HELP " + pname + "_max Largest observed " + name +
-           " sample (seconds).\n";
+    out += "# HELP " + pname + "_max Largest observed " + name + " sample" +
+           (ms ? " (seconds).\n" : ".\n");
     out += "# TYPE " + pname + "_max gauge\n";
     std::snprintf(line, sizeof(line), "%s_max %.9g\n", pname.c_str(),
-                  s.max_ms / 1000.0);
+                  s.max_ms / per_unit);
     out += line;
   }
   return out;

@@ -93,8 +93,10 @@ class MetricsRegistry {
 
   // Prometheus text exposition (version 0.0.4) of every registered metric.
   // Counter `a.b.c` becomes `wsk_a_b_c_total`; histogram `a.b.ms` becomes
-  // `wsk_a_b_ms` with cumulative `_bucket{le=...}` series (seconds),
-  // `_sum`/`_count`, and a `wsk_..._max` gauge for the observed maximum.
+  // `wsk_a_b_seconds` with cumulative `_bucket{le=...}` series, `_sum` /
+  // `_count`, and a `wsk_..._max` gauge for the observed maximum, all in
+  // seconds. A histogram without the `.ms` suffix keeps its name and its
+  // recorded unit.
   std::string PrometheusText() const;
 
  private:

@@ -1040,8 +1040,8 @@ std::string QueryService::PrometheusReport() const {
   out += "# HELP wsk_build_info Build metadata; the value is always 1.\n";
   out += "# TYPE wsk_build_info gauge\n";
   std::snprintf(line, sizeof(line),
-                "wsk_build_info{version=\"%s\",isa=\"%s\",node_format=\"%s\"}"
-                " 1\n",
+                "wsk_build_info{version=\"%s\",isa=\"%s\","
+                "index_format=\"%s\"} 1\n",
                 kBuildVersion, BuildIsa(), kNodeFormatName);
   out += line;
   sample("wsk_process_uptime_seconds", "Seconds since process start.",

@@ -1,13 +1,8 @@
-// Compact v2 static node format.
+// Node record format (v2), the one on-disk format of both trees.
 //
-// v1 nodes are fixed-slot records: every node occupies `pages_per_node`
-// consecutive pages sized for a full-capacity node, entries are loose
-// fixed-width structs, and per-entry keyword payloads live out-of-line in
-// the blob store. That layout is simple to update in place, which the
-// dynamic (insert/remove) path needs — but frozen trees never update, so
-// they pay for slack they cannot use.
-//
-// v2 is a write-once record format for frozen trees:
+// The SetR- and KcR-trees are bulk-built once and never updated, so each
+// node is a write-once record sized to its contents, with its keyword
+// payloads inline:
 //
 //   header (16 bytes, fixed)                body (variable, checksummed)
 //   +----------+----------+-----------+     +--------------------------+
@@ -45,10 +40,9 @@
 
 namespace wsk {
 
-// Node format versions, stored both in the tree meta page and in byte 0 of
-// every v2 node header. v1 has no per-node version byte; its meta version
-// field identifies it.
-inline constexpr uint8_t kNodeFormatV1 = 1;
+// The node format version, stored both in the tree meta page and in byte 0
+// of every record header. Version 1 (fixed node slots with out-of-line
+// payloads) is no longer read; its files are rejected as Corruption.
 inline constexpr uint8_t kNodeFormatV2 = 2;
 
 inline constexpr uint32_t kNodeHeaderBytesV2 = 16;
@@ -136,7 +130,7 @@ StatusOr<PageId> AppendNodeRecordV2(BufferPool* pool, bool is_leaf,
                                     const std::vector<uint8_t>& body);
 
 // Remembers which record pages already passed their body-checksum check.
-// v2 records are write-once (the trees reject Insert/Remove), so a record
+// Records are write-once (the trees are bulk-built and immutable), so a record
 // that verified cleanly once cannot go bad underneath a live tree, and the
 // byte-serial FNV-1a re-hash — the single largest warm-decode cost — can
 // be skipped on every later read. First read of each record still hashes,

@@ -2,8 +2,8 @@
 //
 // Pager owns one file divided into pages of `page_size` bytes (4 KiB by
 // default, matching the paper's setup). Pages are append-allocated;
-// AllocatePages(n) hands out n *consecutive* page ids, which the blob store
-// and the tree node format rely on for multi-page records. All physical
+// AllocatePages(n) hands out n *consecutive* page ids, which the tree node
+// records rely on when they span several pages. All physical
 // reads and writes are counted in IoStats.
 #ifndef WSK_STORAGE_PAGER_H_
 #define WSK_STORAGE_PAGER_H_

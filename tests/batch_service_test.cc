@@ -187,7 +187,7 @@ TEST_F(BatchServiceTest, ReportsSurfaceBatchingMetrics) {
   EXPECT_NE(prom.find("wsk_batch_batches_total"), std::string::npos);
   EXPECT_NE(prom.find("wsk_batch_dedup_total"), std::string::npos);
   EXPECT_NE(prom.find("wsk_batch_occupancy"), std::string::npos);
-  EXPECT_NE(prom.find("wsk_batch_window_wait_ms"), std::string::npos);
+  EXPECT_NE(prom.find("wsk_batch_window_wait_seconds"), std::string::npos);
   EXPECT_NE(prom.find("wsk_batch_pending_requests"), std::string::npos);
   // The index-layer amortization counters flow through trace absorption.
   EXPECT_NE(prom.find("wsk_prune_batch_queries_total"), std::string::npos);

@@ -47,7 +47,7 @@ execute_process(COMMAND ${CLI} statsz --data ${csv} --random 20 --repeat 2
                         --seed 7
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "wsk_requests_total" OR
-   NOT out MATCHES "wsk_stage_query_ms_bucket" OR
+   NOT out MATCHES "wsk_stage_query_seconds_bucket" OR
    NOT out MATCHES "wsk_window_request_rate{window=\"60s\"}" OR
    NOT out MATCHES "wsk_build_info{version=" OR
    NOT out MATCHES "wsk_trace_dropped_events_total" OR
@@ -123,20 +123,39 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "dataset version" OR
    NOT out MATCHES "segments")
   message(FATAL_ERROR "live failed: ${out}")
 endif()
-# inspect: layout histograms for both formats; the v2+mmap run must report
-# the v2 format byte, the map marker, and per-level lines down to the
-# leaves.
-execute_process(COMMAND ${CLI} inspect --data ${csv} --format v2 --mmap 1
+# inspect: layout histograms; the mmap run must report the format byte,
+# the map marker, and per-level lines down to the leaves.
+execute_process(COMMAND ${CLI} inspect --data ${csv} --mmap 1
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "setr: format v2" OR
    NOT out MATCHES "kcr: format v2" OR NOT out MATCHES "\\[mmap\\]" OR
    NOT out MATCHES "\\(leaf\\)")
-  message(FATAL_ERROR "inspect v2 failed: ${out}")
+  message(FATAL_ERROR "inspect failed: ${out}")
 endif()
-execute_process(COMMAND ${CLI} inspect --data ${csv} --format v1
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out)
-if(NOT rc EQUAL 0 OR NOT out MATCHES "setr: format v1" OR
-   out MATCHES "\\[mmap\\]")
-  message(FATAL_ERROR "inspect v1 failed: ${out}")
+# inspect --index on a file whose meta page carries the retired version 1
+# ("WKRS", u32 1, zero padding to one 4 KiB page): a clean error naming
+# the version and exit 1, not a crash.
+set(v1_index "${WORK_DIR}/cli_e2e_v1_meta.idx")
+execute_process(COMMAND sh -c "printf 'WKRS\\001\\000\\000\\000' > '${v1_index}' && head -c 4088 /dev/zero >> '${v1_index}'"
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not write the version-1 index fixture")
 endif()
+execute_process(COMMAND ${CLI} inspect --index ${v1_index}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "unsupported SetR-tree version 1")
+  message(FATAL_ERROR "inspect of a version-1 index: rc=${rc} ${out} ${err}")
+endif()
+file(REMOVE ${v1_index})
+# Numeric flags are strict: a value that does not parse, or does not fit,
+# exits 2 with a message instead of silently becoming 0.
+foreach(bad "--k;abc" "--k;-1" "--k;99999999999" "--alpha;0.5x")
+  execute_process(COMMAND ${CLI} topk --data ${csv} --x 0.5 --y 0.5
+                          --keywords "term1 term3" ${bad}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  list(GET bad 0 flag)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "${flag}")
+    message(FATAL_ERROR "topk ${bad}: rc=${rc} ${err}")
+  endif()
+endforeach()
 file(REMOVE ${csv})

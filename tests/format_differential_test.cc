@@ -1,11 +1,12 @@
-// Node-format / read-mode differential (docs/STORAGE.md "v2 node format &
-// mmap"): the four engine configurations {v1, v2} x {pread, mmap} must be
-// observationally identical. The compact v2 records store the same doubles
-// and term ids bit for bit, and the mmap path hands back the same bytes the
-// buffered path copies, so TopK and every why-not algorithm must agree
-// exactly — ids, scores, refined keywords, ranks, and penalties, with no
-// tolerance. Runs over the same seeded scenario generator as the oracle
-// suite; failures print the seed-bearing scenario description.
+// Read-path differential (docs/STORAGE.md "Read paths"): an engine reading
+// its node records through the buffer pool (pread) and one reading them
+// from a read-only mapping (mmap) must be observationally identical, and
+// both must agree with the brute-force oracle. The mapping hands back the
+// same bytes the buffered path copies, so TopK and every why-not algorithm
+// must agree exactly — ids, scores, refined keywords, ranks, and
+// penalties, with no tolerance. Runs over the same seeded scenario
+// generator as the oracle suite; failures print the seed-bearing scenario
+// description.
 #include <optional>
 #include <vector>
 
@@ -13,7 +14,7 @@
 
 #include "core/engine.h"
 #include "core/whynot.h"
-#include "storage/node_codec_v2.h"
+#include "testing/oracle.h"
 #include "testing/scenario_gen.h"
 
 namespace wsk {
@@ -28,22 +29,19 @@ constexpr WhyNotAlgorithm kAlgorithms[] = {
     WhyNotAlgorithm::kKcrBased,
 };
 
-struct FormatConfig {
+struct ReadPath {
   const char* name;
-  uint8_t format;
   bool mmap;
 };
 
-constexpr FormatConfig kConfigs[] = {
-    {"v1+pread", kNodeFormatV1, false},  // the paper baseline
-    {"v1+mmap", kNodeFormatV1, true},
-    {"v2+pread", kNodeFormatV2, false},
-    {"v2+mmap", kNodeFormatV2, true},  // the frozen-segment default
+constexpr ReadPath kPaths[] = {
+    {"pread", false},  // the paper's buffered setup, the engine default
+    {"mmap", true},    // the frozen-segment default
 };
 
 class FormatDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(FormatDifferentialTest, AllFormatsBitIdentical) {
+TEST_P(FormatDifferentialTest, ReadPathsMatchOracleBitExactly) {
   const uint64_t seed = GetParam();
   std::optional<testing::WhyNotScenario> scenario =
       testing::MakeScenario(seed, {});
@@ -53,56 +51,73 @@ TEST_P(FormatDifferentialTest, AllFormatsBitIdentical) {
   SCOPED_TRACE(scenario->Describe());
 
   std::vector<std::unique_ptr<WhyNotEngine>> engines;
-  for (const FormatConfig& fc : kConfigs) {
+  for (const ReadPath& path : kPaths) {
     WhyNotEngine::Config config;
     config.node_capacity = 16;  // multi-level trees at scenario scale
-    config.node_format = fc.format;
-    config.mmap_reads = fc.mmap;
+    config.mmap_reads = path.mmap;
     StatusOr<std::unique_ptr<WhyNotEngine>> built =
         WhyNotEngine::Build(&scenario->dataset, config);
-    ASSERT_TRUE(built.ok()) << fc.name << ": " << built.status().ToString();
+    ASSERT_TRUE(built.ok()) << path.name << ": "
+                            << built.status().ToString();
     engines.push_back(std::move(built).value());
   }
 
-  // TopK: the v1+pread stream is the reference.
-  const auto baseline_top =
-      engines[0]->TopK(scenario->query).value();
-  for (size_t c = 1; c < engines.size(); ++c) {
-    SCOPED_TRACE(kConfigs[c].name);
+  // TopK: the linear-scan stream is the reference.
+  const std::vector<ScoredObject> want_top =
+      BruteForceTopK(scenario->dataset, scenario->query);
+  for (size_t c = 0; c < engines.size(); ++c) {
+    SCOPED_TRACE(kPaths[c].name);
     const auto top = engines[c]->TopK(scenario->query).value();
-    ASSERT_EQ(top.size(), baseline_top.size());
+    ASSERT_EQ(top.size(), want_top.size());
     for (size_t i = 0; i < top.size(); ++i) {
-      EXPECT_EQ(top[i].id, baseline_top[i].id);
-      EXPECT_EQ(top[i].score, baseline_top[i].score);  // bit-exact
+      EXPECT_EQ(top[i].id, want_top[i].id);
+      EXPECT_EQ(top[i].score, want_top[i].score);  // bit-exact
     }
   }
 
+  const testing::OracleResult oracle = testing::SolveWhyNotOracle(
+      scenario->dataset, scenario->query, scenario->missing,
+      scenario->options.lambda);
   for (WhyNotAlgorithm algorithm : kAlgorithms) {
     SCOPED_TRACE(WhyNotAlgorithmName(algorithm));
-    StatusOr<WhyNotResult> baseline = engines[0]->Answer(
-        algorithm, scenario->query, scenario->missing, scenario->options);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    for (size_t c = 1; c < engines.size(); ++c) {
-      SCOPED_TRACE(kConfigs[c].name);
+    std::vector<WhyNotResult> results;
+    for (size_t c = 0; c < engines.size(); ++c) {
+      SCOPED_TRACE(kPaths[c].name);
       StatusOr<WhyNotResult> got = engines[c]->Answer(
           algorithm, scenario->query, scenario->missing, scenario->options);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got.value().already_in_result,
-                baseline.value().already_in_result);
-      const RefinedQuery& a = got.value().refined;
-      const RefinedQuery& b = baseline.value().refined;
-      EXPECT_EQ(a.doc, b.doc)
-          << a.doc.ToString() << " vs " << b.doc.ToString();
-      EXPECT_EQ(a.k, b.k);
-      EXPECT_EQ(a.rank, b.rank);
-      EXPECT_EQ(a.edit_distance, b.edit_distance);
-      EXPECT_EQ(a.penalty, b.penalty);  // exact, no tolerance
+      const WhyNotResult& result = got.value();
+      EXPECT_EQ(result.already_in_result, oracle.already_in_result);
+      EXPECT_EQ(result.stats.initial_rank, oracle.initial_rank);
+      if (oracle.already_in_result) {
+        EXPECT_TRUE(result.refined.doc == scenario->query.doc)
+            << "got " << result.refined.doc.ToString();
+        EXPECT_EQ(result.refined.k, scenario->query.k);
+      } else {
+        EXPECT_EQ(result.refined.penalty, oracle.best.penalty);  // exact
+        EXPECT_TRUE(result.refined.doc == oracle.best.doc)
+            << "got " << result.refined.doc.ToString() << " want "
+            << oracle.best.doc.ToString();
+        EXPECT_EQ(result.refined.edit_distance, oracle.best.edit_distance);
+        EXPECT_EQ(result.refined.rank, oracle.best.rank);
+        EXPECT_EQ(result.refined.k, oracle.best.k);
+      }
+      results.push_back(result);
     }
+    // And the two read paths agree with each other field for field.
+    const RefinedQuery& a = results[0].refined;
+    const RefinedQuery& b = results[1].refined;
+    EXPECT_EQ(results[0].already_in_result, results[1].already_in_result);
+    EXPECT_EQ(a.doc, b.doc) << a.doc.ToString() << " vs " << b.doc.ToString();
+    EXPECT_EQ(a.k, b.k);
+    EXPECT_EQ(a.rank, b.rank);
+    EXPECT_EQ(a.edit_distance, b.edit_distance);
+    EXPECT_EQ(a.penalty, b.penalty);  // exact, no tolerance
   }
 
-  // Mapped engines actually used the map for their reads.
+  // The mapped engine actually used the map for its reads.
   EXPECT_EQ(engines[0]->io_snapshot().setr_mapped, 0u);
-  EXPECT_GT(engines[3]->io_snapshot().setr_mapped, 0u);
+  EXPECT_GT(engines[1]->io_snapshot().setr_mapped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FormatDifferentialTest,

@@ -145,13 +145,13 @@ TEST(MetricsRegistryTest, PrometheusTextExposition) {
   EXPECT_NE(text.find("# TYPE wsk_requests_total_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("wsk_requests_total_total 42\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE wsk_latency_whynot_ms histogram\n"),
+  EXPECT_NE(text.find("# TYPE wsk_latency_whynot_seconds histogram\n"),
             std::string::npos);
-  EXPECT_NE(text.find("wsk_latency_whynot_ms_bucket{le=\"+Inf\"} 2\n"),
+  EXPECT_NE(text.find("wsk_latency_whynot_seconds_bucket{le=\"+Inf\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("wsk_latency_whynot_ms_count 2\n"), std::string::npos);
-  EXPECT_NE(text.find("wsk_latency_whynot_ms_sum 0.01\n"), std::string::npos);
-  EXPECT_NE(text.find("wsk_latency_whynot_ms_max 0.008\n"),
+  EXPECT_NE(text.find("wsk_latency_whynot_seconds_count 2\n"), std::string::npos);
+  EXPECT_NE(text.find("wsk_latency_whynot_seconds_sum 0.01\n"), std::string::npos);
+  EXPECT_NE(text.find("wsk_latency_whynot_seconds_max 0.008\n"),
             std::string::npos);
 
   // Bucket series are cumulative: counts never decrease as `le` grows.

@@ -1,8 +1,12 @@
 // Tests at the paper's index configuration: node capacity 100 over 4 KiB
-// pages, which makes every tree node span TWO consecutive pages. Most unit
-// tests use small capacities (single-page nodes); this file pins down the
-// multi-page node slot path end to end.
+// pages. Records are sized to their contents, and at this fan-out the KcR
+// inner records (one keyword-count map per child) outgrow one page. Most
+// unit tests use small capacities (single-page records); this file pins
+// down the multi-page record path end to end.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/engine.h"
@@ -29,10 +33,34 @@ class PaperScaleConfigTest : public ::testing::Test {
   std::unique_ptr<WhyNotEngine> engine_;
 };
 
-TEST_F(PaperScaleConfigTest, NodesSpanTwoPages) {
-  EXPECT_EQ(engine_->setr_tree().pages_per_node(), 2u);
-  EXPECT_EQ(engine_->kcr_tree().pages_per_node(), 2u);
+// Every record wastes less than one page of padding; returns the widest
+// record's page count.
+template <typename Tree>
+uint32_t CheckRecordsSizedToContents(const Tree& tree, uint32_t page_size) {
+  uint32_t widest = 0;
+  std::vector<PageId> frontier{tree.SearchRoot()};
+  while (!frontier.empty()) {
+    std::vector<PageId> next;
+    for (PageId page : frontier) {
+      const NodeStat stat = tree.StatNode(page).value();
+      EXPECT_LE(stat.record_bytes, stat.record_pages * page_size);
+      EXPECT_GT(stat.record_bytes, (stat.record_pages - 1) * page_size);
+      widest = std::max(widest, stat.record_pages);
+      if (!stat.is_leaf) {
+        const auto node = tree.ReadNode(page).value();
+        for (const auto& e : node.inner_entries) next.push_back(e.child);
+      }
+    }
+    frontier = std::move(next);
+  }
+  return widest;
+}
+
+TEST_F(PaperScaleConfigTest, RecordsSizedToContents) {
   EXPECT_GE(engine_->setr_tree().height(), 2u);
+  const uint32_t page_size = engine_->setr_pager().page_size();
+  CheckRecordsSizedToContents(engine_->setr_tree(), page_size);
+  EXPECT_GE(CheckRecordsSizedToContents(engine_->kcr_tree(), page_size), 2u);
 }
 
 TEST_F(PaperScaleConfigTest, BothTreesVerifyClean) {

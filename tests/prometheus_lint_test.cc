@@ -14,6 +14,9 @@
 //   - histogram buckets are cumulative (monotone non-decreasing), their
 //     le bounds strictly increase, the +Inf bucket comes last and equals
 //     _count, and _sum/_count are present.
+//   - a histogram named *_ms has millisecond-scale bounds: the latency
+//     buckets start at 1 µs, so a smallest finite le under 0.001 means
+//     the values are seconds under a millisecond name.
 //
 // The linter itself is exercised against hand-written bad documents so a
 // lint pass means the rules are actually enforced.
@@ -276,6 +279,11 @@ std::vector<std::string> LintExposition(const std::string& text) {
         errors.push_back("+Inf bucket not last: " + name);
       }
     }
+    const bool ms_named =
+        name.size() > 3 && name.compare(name.size() - 3, 3, "_ms") == 0;
+    if (ms_named && !bl.front().inf && bl.front().le < 1e-3) {
+      errors.push_back("_ms histogram with second-scale bounds: " + name);
+    }
     if (!bl.back().inf) {
       errors.push_back("missing +Inf bucket: " + name);
     } else if (bl.back().count != hist_count[name]) {
@@ -423,6 +431,22 @@ TEST(PrometheusLintTest, LinterCatchesMalformedExposition) {
                               "wsk_h_bucket{le=\"+Inf\"} 1\n"
                               "wsk_h_count 1\n")
                    .empty());
+  // Seconds-scale bounds (the 1 µs bucket as 1e-06) under a _ms name;
+  // the same document named _seconds is clean.
+  EXPECT_FALSE(LintExposition("# HELP wsk_l_ms Fine.\n"
+                              "# TYPE wsk_l_ms histogram\n"
+                              "wsk_l_ms_bucket{le=\"1e-06\"} 1\n"
+                              "wsk_l_ms_bucket{le=\"+Inf\"} 1\n"
+                              "wsk_l_ms_sum 1e-06\n"
+                              "wsk_l_ms_count 1\n")
+                   .empty());
+  EXPECT_TRUE(LintExposition("# HELP wsk_l_seconds Fine.\n"
+                             "# TYPE wsk_l_seconds histogram\n"
+                             "wsk_l_seconds_bucket{le=\"1e-06\"} 1\n"
+                             "wsk_l_seconds_bucket{le=\"+Inf\"} 1\n"
+                             "wsk_l_seconds_sum 1e-06\n"
+                             "wsk_l_seconds_count 1\n")
+                  .empty());
   // A clean histogram passes.
   EXPECT_TRUE(LintExposition(hist_prefix +
                              "wsk_h_bucket{le=\"0.1\"} 3\n"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
 #include "common/rng.h"
@@ -54,13 +55,15 @@ struct SubtreeFacts {
 SubtreeFacts CheckSubtree(const SetRTree& tree, const Dataset& dataset,
                           PageId page) {
   SubtreeFacts facts;
-  const SetRTree::Node node = tree.ReadNode(page).value();
+  const auto decoded = tree.ReadDecodedNode(page, /*use_cache=*/false).value();
+  const SetRTree::Node& node = decoded->node;
   EXPECT_GE(node.size(), 1u);
   EXPECT_LE(node.size(), tree.options().capacity);
   bool first = true;
   if (node.is_leaf) {
-    for (const SetRTree::LeafEntry& e : node.leaf_entries) {
-      const KeywordSet doc = tree.ReadKeywordSet(e.keywords).value();
+    for (size_t i = 0; i < node.leaf_entries.size(); ++i) {
+      const SetRTree::LeafEntry& e = node.leaf_entries[i];
+      const KeywordSet& doc = decoded->leaf_docs[i];
       EXPECT_EQ(doc, dataset.object(e.object).doc);
       EXPECT_EQ(e.loc, dataset.object(e.object).loc);
       facts.mbr.Extend(e.loc);
@@ -70,11 +73,12 @@ SubtreeFacts CheckSubtree(const SetRTree& tree, const Dataset& dataset,
       first = false;
     }
   } else {
-    for (const SetRTree::InnerEntry& e : node.inner_entries) {
+    for (size_t i = 0; i < node.inner_entries.size(); ++i) {
+      const SetRTree::InnerEntry& e = node.inner_entries[i];
       const SubtreeFacts child = CheckSubtree(tree, dataset, e.child);
       EXPECT_TRUE(e.mbr.ContainsRect(child.mbr));
-      EXPECT_EQ(tree.ReadKeywordSet(e.union_set).value(), child.uni);
-      EXPECT_EQ(tree.ReadKeywordSet(e.inter_set).value(), child.inter);
+      EXPECT_EQ(decoded->child_union[i], child.uni);
+      EXPECT_EQ(decoded->child_inter[i], child.inter);
       facts.mbr.Extend(child.mbr);
       facts.uni = facts.uni.Union(child.uni);
       facts.inter = first ? child.inter : facts.inter.Intersect(child.inter);
@@ -158,39 +162,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SimilarityModel::kJaccard,
                                          SimilarityModel::kDice)));
 
-TEST(SetRTreeTest, InsertBuiltTreeMatchesBruteForce) {
-  const Dataset dataset = SmallDataset(150, 31);
-  TreeBundle bundle;
-  bundle.file = std::make_unique<TempFile>("setr_ins");
-  bundle.pager = Pager::Create(bundle.file->path()).value();
-  bundle.pool = std::make_unique<BufferPool>(bundle.pager.get(), 4u << 20);
-  SetRTree::Options options;
-  options.capacity = 8;
-  bundle.tree = SetRTree::CreateEmpty(bundle.pool.get(), dataset.diagonal(),
-                                      options)
-                    .value();
-  for (const SpatialObject& o : dataset.objects()) {
-    ASSERT_TRUE(bundle.tree->Insert(o).ok());
-  }
-  ASSERT_TRUE(bundle.tree->Finalize().ok());
-  EXPECT_EQ(bundle.tree->num_objects(), dataset.size());
-  const SubtreeFacts facts =
-      CheckSubtree(*bundle.tree, dataset, bundle.tree->SearchRoot());
-  EXPECT_EQ(facts.objects, dataset.size());
-
-  SpatialKeywordQuery q;
-  q.loc = Point{0.4, 0.6};
-  q.doc = dataset.object(7).doc;
-  q.k = 25;
-  q.alpha = 0.5;
-  const auto expected = BruteForceTopK(dataset, q);
-  const auto actual = IndexTopK(*bundle.tree, q).value();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].id, expected[i].id);
-  }
-}
-
 TEST(SetRTreeTest, ReopenFinalizedIndex) {
   const Dataset dataset = SmallDataset(120, 41);
   TempFile file("setr_reopen");
@@ -235,86 +206,55 @@ TEST(SetRTreeTest, OpenRejectsWrongMagic) {
   EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
 
-TEST(SetRTreeTest, CreateRequiresFreshFile) {
+// A file written in the retired version-1 format (fixed node slots) must
+// be rejected with a Status that names the version, never misread.
+TEST(SetRTreeTest, OpenRejectsVersion1Meta) {
+  TempFile file("setr_v1_meta");
+  {
+    auto pager = Pager::Create(file.path()).value();
+    const PageId id = pager->AllocatePages(1);
+    std::vector<uint8_t> meta(pager->page_size(), 0);
+    const uint32_t head[2] = {0x53524b57, 1};  // "WKRS", version 1
+    std::memcpy(meta.data(), head, sizeof(head));
+    ASSERT_TRUE(pager->WritePage(id, meta.data()).ok());
+  }
+  auto pager = Pager::Open(file.path()).value();
+  BufferPool pool(pager.get(), 1u << 20);
+  auto tree = SetRTree::Open(&pool);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(tree.status().message().find("version 1"), std::string::npos)
+      << tree.status().ToString();
+}
+
+TEST(SetRTreeTest, BulkLoadRequiresFreshFile) {
   TempFile file("setr_fresh");
   auto pager = Pager::Create(file.path()).value();
   pager->AllocatePages(1);
   BufferPool pool(pager.get(), 1u << 20);
   SetRTree::Options options;
-  auto tree = SetRTree::CreateEmpty(&pool, 1.0, options);
+  auto tree = SetRTree::BulkLoadObjects({}, 1.0, &pool, options);
   EXPECT_FALSE(tree.ok());
   EXPECT_EQ(tree.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TreeBundle BulkLoadV2(const Dataset& dataset, uint32_t capacity = 8) {
-  TreeBundle bundle;
-  bundle.file = std::make_unique<TempFile>("setr_v2");
-  bundle.pager = Pager::Create(bundle.file->path()).value();
-  bundle.pool = std::make_unique<BufferPool>(bundle.pager.get(), 4u << 20);
-  SetRTree::Options options;
-  options.capacity = capacity;
-  options.format = kNodeFormatV2;
-  bundle.tree =
-      SetRTree::BulkLoad(dataset, bundle.pool.get(), options).value();
-  return bundle;
-}
-
-TEST(SetRTreeTest, V2BulkLoadMatchesV1AndShrinksFile) {
-  const Dataset dataset = SmallDataset(300, 17);
-  TreeBundle v1 = BulkLoad(dataset);
-  TreeBundle v2 = BulkLoadV2(dataset);
-  ASSERT_TRUE(v1.tree->Finalize().ok());
-  ASSERT_TRUE(v2.tree->Finalize().ok());
-  EXPECT_EQ(v2.tree->options().format, kNodeFormatV2);
-  EXPECT_EQ(v2.tree->num_objects(), v1.tree->num_objects());
-  EXPECT_EQ(v2.tree->height(), v1.tree->height());
-  // The compact format drops the fixed-slot slack and out-of-line blobs.
-  EXPECT_LT(v2.pager->num_pages(), v1.pager->num_pages());
-
-  SpatialKeywordQuery q;
-  q.loc = Point{0.3, 0.6};
-  q.doc = dataset.object(1).doc;
-  q.k = 10;
-  q.alpha = 0.5;
-  const auto top_v1 = IndexTopK(*v1.tree, q).value();
-  const auto top_v2 = IndexTopK(*v2.tree, q).value();
-  ASSERT_EQ(top_v1.size(), top_v2.size());
-  for (size_t i = 0; i < top_v1.size(); ++i) {
-    EXPECT_EQ(top_v1[i].id, top_v2[i].id);
-    EXPECT_EQ(top_v1[i].score, top_v2[i].score);  // bit-exact
-  }
-}
-
-TEST(SetRTreeTest, V2StatNodeReportsCompactRecords) {
+TEST(SetRTreeTest, StatNodeReportsRecordLayout) {
   const Dataset dataset = SmallDataset(200, 23);
-  TreeBundle v1 = BulkLoad(dataset);
-  TreeBundle v2 = BulkLoadV2(dataset);
-  const NodeStat s1 = v1.tree->StatNode(v1.tree->SearchRoot()).value();
-  const NodeStat s2 = v2.tree->StatNode(v2.tree->SearchRoot()).value();
-  EXPECT_EQ(s1.is_leaf, s2.is_leaf);
-  EXPECT_EQ(s1.entries, s2.entries);
-  EXPECT_GT(s2.record_bytes, 0u);
-  EXPECT_LE(s2.record_pages, s1.record_pages);
-  EXPECT_LE(s2.record_bytes,
-            s2.record_pages * v2.pager->page_size());
+  TreeBundle bundle = BulkLoad(dataset);
+  const PageId root = bundle.tree->SearchRoot();
+  const NodeStat stat = bundle.tree->StatNode(root).value();
+  const SetRTree::Node node = bundle.tree->ReadNode(root).value();
+  EXPECT_EQ(stat.is_leaf, node.is_leaf);
+  EXPECT_EQ(stat.entries, node.size());
+  EXPECT_GT(stat.record_bytes, kNodeHeaderBytesV2);
+  EXPECT_GE(stat.record_pages, 1u);
+  EXPECT_LE(stat.record_bytes,
+            stat.record_pages * bundle.pager->page_size());
 }
 
-TEST(SetRTreeTest, V2IsImmutable) {
-  const Dataset dataset = SmallDataset(60, 29);
-  TreeBundle v2 = BulkLoadV2(dataset);
-  SpatialObject extra;
-  extra.id = 1000;
-  extra.loc = Point{0.5, 0.5};
-  extra.doc = dataset.object(0).doc;
-  EXPECT_EQ(v2.tree->Insert(extra).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(v2.tree->Remove(dataset.object(0).id, dataset.object(0).loc)
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(SetRTreeTest, V2ReopenAndMappedReadsServeQueries) {
+TEST(SetRTreeTest, ReopenAndMappedReadsServeQueries) {
   const Dataset dataset = SmallDataset(300, 31);
-  TempFile file("setr_v2_reopen");
+  TempFile file("setr_reopen_mmap");
   SpatialKeywordQuery q;
   q.loc = Point{0.7, 0.2};
   q.doc = dataset.object(2).doc;
@@ -326,7 +266,6 @@ TEST(SetRTreeTest, V2ReopenAndMappedReadsServeQueries) {
     BufferPool pool(pager.get(), 4u << 20);
     SetRTree::Options options;
     options.capacity = 8;
-    options.format = kNodeFormatV2;
     auto tree = SetRTree::BulkLoad(dataset, &pool, options).value();
     ASSERT_TRUE(tree->Finalize().ok());
     want = IndexTopK(*tree, q).value();
@@ -334,7 +273,6 @@ TEST(SetRTreeTest, V2ReopenAndMappedReadsServeQueries) {
   auto pager = Pager::Open(file.path()).value();
   BufferPool pool(pager.get(), 4u << 20);
   auto tree = SetRTree::Open(&pool).value();
-  EXPECT_EQ(tree->options().format, kNodeFormatV2);
 
   ASSERT_TRUE(pager->EnableMappedReads().ok());
   pager->io_stats().Reset();
@@ -349,18 +287,17 @@ TEST(SetRTreeTest, V2ReopenAndMappedReadsServeQueries) {
   EXPECT_EQ(pager->io_stats().physical_reads(), 0u);
 }
 
-// A v2 node with a flipped body byte must surface as Corruption from the
-// tree read path (checksum), never as UB.
-TEST(SetRTreeTest, V2DetectsCorruptedNode) {
+// A node with a flipped body byte must surface as Corruption from the tree
+// read path (checksum), never as UB.
+TEST(SetRTreeTest, DetectsCorruptedNode) {
   const Dataset dataset = SmallDataset(300, 37);
-  TempFile file("setr_v2_corrupt");
+  TempFile file("setr_corrupt");
   PageId victim;
   {
     auto pager = Pager::Create(file.path()).value();
     BufferPool pool(pager.get(), 4u << 20);
     SetRTree::Options options;
     options.capacity = 8;
-    options.format = kNodeFormatV2;
     auto tree = SetRTree::BulkLoad(dataset, &pool, options).value();
     ASSERT_TRUE(tree->Finalize().ok());
     victim = tree->SearchRoot();

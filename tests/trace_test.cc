@@ -202,8 +202,8 @@ TEST(TraceRecorderTest, StageAndCounterNamesAreStable) {
                "bound_tightening");
   EXPECT_STREQ(TraceCounterName(TraceCounter::kCandidatesEnumerated),
                "candidates_enumerated");
-  EXPECT_STREQ(TraceCounterName(TraceCounter::kCellsVisited),
-               "cells_visited");
+  EXPECT_STREQ(TraceCounterName(TraceCounter::kDeltaObjectsScanned),
+               "delta_objects_scanned");
 }
 
 TEST(TraceRecorderTest, ConcurrentWritersAreLossless) {

@@ -18,10 +18,10 @@ avg_penalty, each group carries the pruning-effectiveness counters
 (cand_eval, cand_filtered, cand_skipped, cand_pruned, nodes_expanded)
 whenever the run reports them (docs/OBSERVABILITY.md).
 
-Node-format rows (bench_index_micro's `node_decode/...`) land in
-`node_format.csv` with the v1-vs-v2 decode timings, file sizes, and the
-two gated ratios (decode_speedup, v2_size_ratio — docs/STORAGE.md "v2
-node format & mmap").
+Node-decode rows (bench_index_micro's `node_decode/...`) land in
+`node_decode.csv` with the pread-vs-mmap full-tree decode timings, the
+index file size, and the mapped leg's read counts (docs/STORAGE.md "Read
+paths").
 
 Service-layer rows (bench_service) are named `service/<series>/<key>:<value>`
 and carry throughput counters instead of per-query figures; each series
@@ -56,10 +56,8 @@ SERVICE_COLUMNS = ("qps", "p50_ms", "p99_ms", "cache_hit_rate",
                    "shards_pruned", "pruned_rate", "batch_speedup",
                    "decode_amortization", "dedup")
 # node_decode/... rows (bench_index_micro), in report order.
-NODE_FORMAT_COLUMNS = ("v1_decode_ns", "v2_decode_ns", "v2_mmap_decode_ns",
-                       "decode_speedup", "v1_bytes", "v2_bytes",
-                       "v2_size_ratio", "v2_mapped_reads",
-                       "v2_physical_reads")
+NODE_DECODE_COLUMNS = ("pread_decode_ns", "mmap_decode_ns", "index_bytes",
+                       "mapped_reads", "physical_reads")
 
 
 def parse_number(text: str) -> float:
@@ -108,12 +106,12 @@ def main() -> int:
     # service[series] = (key, {value: {counter: value}}) for
     # `service/<series>/<key>:<value>` rows.
     service = collections.OrderedDict()
-    # node_format[scope] = {counter: value} for `node_decode/<scope>` rows.
-    node_format = collections.OrderedDict()
+    # node_decode[scope] = {counter: value} for `node_decode/<scope>` rows.
+    node_decode = collections.OrderedDict()
     for name, counters in load_rows(source):
         parts = name.split("/")
         if parts[0] == "node_decode":
-            node_format["/".join(parts[1:]) or "all"] = counters
+            node_decode["/".join(parts[1:]) or "all"] = counters
             continue
         if name.startswith("service/") and ":" in parts[-1]:
             series = "/".join(parts[1:-1]) or "service"
@@ -168,16 +166,16 @@ def main() -> int:
                 writer.writerow([value] + [cell.get(c, "") for c in columns])
         print(f"wrote {path} ({len(rows)} rows)")
 
-    if node_format:
-        present = {c for cell in node_format.values() for c in cell}
-        columns = [c for c in NODE_FORMAT_COLUMNS if c in present]
-        path = os.path.join(out_dir, "node_format.csv")
+    if node_decode:
+        present = {c for cell in node_decode.values() for c in cell}
+        columns = [c for c in NODE_DECODE_COLUMNS if c in present]
+        path = os.path.join(out_dir, "node_decode.csv")
         with open(path, "w", newline="") as out:
             writer = csv.writer(out)
             writer.writerow(["scope"] + columns)
-            for scope, cell in node_format.items():
+            for scope, cell in node_decode.items():
                 writer.writerow([scope] + [cell.get(c, "") for c in columns])
-        print(f"wrote {path} ({len(node_format)} rows)")
+        print(f"wrote {path} ({len(node_decode)} rows)")
     return 0
 
 

@@ -11,9 +11,9 @@ the paper's ms / I/O / penalty table; when a run reports the
 pruning-effectiveness counters (docs/OBSERVABILITY.md), a second table
 per sweep breaks the candidate dispositions down by algorithm.
 
-Node-format rows (bench_index_micro's `node_decode/...`) get a v1-vs-v2
-table with the decode timings, file sizes, and the two gated ratios
-(docs/STORAGE.md "v2 node format & mmap").
+Node-decode rows (bench_index_micro's `node_decode/...`) get a
+pread-vs-mmap table with the full-tree decode timings and the index file
+size (docs/STORAGE.md "Read paths").
 
 Service-layer rows (bench_service, `service/<series>/<key>:<value>`) get
 one table per series with whichever of qps / p50_ms / p99_ms /
@@ -40,9 +40,7 @@ SERVICE_COLUMNS = ("qps", "p50_ms", "p99_ms", "cache_hit_rate",
                    "insert_rate", "merges", "shards_visited",
                    "shards_pruned", "pruned_rate", "batch_speedup",
                    "decode_amortization", "dedup")
-NODE_FORMAT_COLUMNS = ("v1_decode_ns", "v2_decode_ns", "v2_mmap_decode_ns",
-                       "decode_speedup", "v1_bytes", "v2_bytes",
-                       "v2_size_ratio")
+NODE_DECODE_COLUMNS = ("pread_decode_ns", "mmap_decode_ns", "index_bytes")
 
 
 def num(text):
@@ -95,10 +93,10 @@ def main():
     micro = collections.OrderedDict()
     # service[series] = (key, {value: counters})
     service = collections.OrderedDict()
-    node_format = collections.OrderedDict()
+    node_decode = collections.OrderedDict()
     for name, counters in load_rows(path):
         if name.startswith("node_decode/"):
-            node_format[name.removeprefix("node_decode/")] = counters
+            node_decode[name.removeprefix("node_decode/")] = counters
             continue
         if name.startswith("topk/") and "avg_penalty" not in counters:
             micro[name] = (counters.get("_console_ms", 0.0) / 20.0,
@@ -198,20 +196,14 @@ def main():
             print(f"| {value} | " + " | ".join(cols) + " |")
         print()
 
-    if node_format:
-        print("### node format: v1 vs v2 (full-tree decode)\n")
-        columns = [c for c in NODE_FORMAT_COLUMNS
-                   if any(c in cell for cell in node_format.values())]
+    if node_decode:
+        print("### node decode: pread vs mmap (full-tree decode)\n")
+        columns = [c for c in NODE_DECODE_COLUMNS
+                   if any(c in cell for cell in node_decode.values())]
         print("| scope | " + " | ".join(columns) + " |")
         print("|---|" + "---|" * len(columns))
-        for scope, cell in node_format.items():
-            cols = []
-            for c in columns:
-                v = cell.get(c, 0.0)
-                if c in ("decode_speedup", "v2_size_ratio"):
-                    cols.append(f"{v:.2f}")
-                else:
-                    cols.append(fmt(v, 0))
+        for scope, cell in node_decode.items():
+            cols = [fmt(cell.get(c, 0.0), 0) for c in columns]
             print(f"| {scope} | " + " | ".join(cols) + " |")
         print()
 
