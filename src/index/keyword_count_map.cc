@@ -1,7 +1,6 @@
 #include "index/keyword_count_map.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/macros.h"
 
@@ -53,36 +52,6 @@ uint64_t KeywordCountMap::TotalCount() const {
   uint64_t total = 0;
   for (const auto& [term, count] : pairs_) total += count;
   return total;
-}
-
-void KeywordCountMap::Serialize(std::vector<uint8_t>* out) const {
-  const size_t base = out->size();
-  out->resize(base + SerializedSize());
-  const uint32_t n = static_cast<uint32_t>(pairs_.size());
-  std::memcpy(out->data() + base, &n, 4);
-  uint8_t* p = out->data() + base + 4;
-  for (const auto& [term, count] : pairs_) {
-    std::memcpy(p, &term, 4);
-    std::memcpy(p + 4, &count, 4);
-    p += 8;
-  }
-}
-
-KeywordCountMap KeywordCountMap::Deserialize(const uint8_t* data,
-                                             size_t size) {
-  WSK_CHECK(size >= 4);
-  uint32_t n;
-  std::memcpy(&n, data, 4);
-  WSK_CHECK(size >= 4 + 8ull * n);
-  KeywordCountMap map;
-  map.pairs_.resize(n);
-  const uint8_t* p = data + 4;
-  for (uint32_t i = 0; i < n; ++i) {
-    std::memcpy(&map.pairs_[i].first, p, 4);
-    std::memcpy(&map.pairs_[i].second, p + 4, 4);
-    p += 8;
-  }
-  return map;
 }
 
 }  // namespace wsk

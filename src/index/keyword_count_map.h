@@ -49,9 +49,8 @@ class KeywordCountMap {
     return pairs_;
   }
 
-  // Layout: u32 n, then n (u32 term, u32 count) pairs sorted by term.
-  void Serialize(std::vector<uint8_t>* out) const;
-  static KeywordCountMap Deserialize(const uint8_t* data, size_t size);
+  // Bytes of a u32 pair count plus the (term, count) pairs; the
+  // decoded-node cache charges each decoded map at this size.
   size_t SerializedSize() const { return 4 + 8 * pairs_.size(); }
 
   friend bool operator==(const KeywordCountMap& a, const KeywordCountMap& b) {

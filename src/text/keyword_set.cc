@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -188,26 +187,6 @@ KeywordSet KeywordSet::Without(TermId t) const {
   auto it = std::lower_bound(out.begin(), out.end(), t);
   if (it != out.end() && *it == t) out.erase(it);
   return FromSorted(std::move(out));
-}
-
-void KeywordSet::Serialize(std::vector<uint8_t>* out) const {
-  const size_t base = out->size();
-  out->resize(base + SerializedSize());
-  const uint32_t count = static_cast<uint32_t>(terms_.size());
-  std::memcpy(out->data() + base, &count, 4);
-  if (count > 0) {
-    std::memcpy(out->data() + base + 4, terms_.data(), 4 * terms_.size());
-  }
-}
-
-KeywordSet KeywordSet::Deserialize(const uint8_t* data, size_t size) {
-  WSK_CHECK(size >= 4);
-  uint32_t count;
-  std::memcpy(&count, data, 4);
-  WSK_CHECK(size >= 4 + 4ull * count);
-  std::vector<TermId> terms(count);
-  if (count > 0) std::memcpy(terms.data(), data + 4, 4ull * count);
-  return FromSorted(std::move(terms));
 }
 
 std::string KeywordSet::ToString() const {

@@ -49,9 +49,8 @@ class KeywordSet {
   KeywordSet With(TermId t) const;
   KeywordSet Without(TermId t) const;
 
-  // Serialization: little-endian u32 count followed by the sorted term ids.
-  void Serialize(std::vector<uint8_t>* out) const;
-  static KeywordSet Deserialize(const uint8_t* data, size_t size);
+  // Bytes of a u32 count plus the term ids; the decoded-node cache charges
+  // each decoded set at this size.
   size_t SerializedSize() const { return 4 + 4 * terms_.size(); }
 
   std::string ToString() const;  // "{1, 5, 9}"

@@ -53,23 +53,6 @@ TEST(KeywordCountMapTest, PairsStaySorted) {
   }
 }
 
-TEST(KeywordCountMapTest, SerializationRoundTrip) {
-  KeywordCountMap map;
-  map.AddDoc(KeywordSet{1, 5, 9});
-  map.AddDoc(KeywordSet{5});
-  std::vector<uint8_t> bytes;
-  map.Serialize(&bytes);
-  EXPECT_EQ(bytes.size(), map.SerializedSize());
-  const auto back = KeywordCountMap::Deserialize(bytes.data(), bytes.size());
-  EXPECT_TRUE(back == map);
-
-  const KeywordCountMap empty;
-  bytes.clear();
-  empty.Serialize(&bytes);
-  EXPECT_TRUE(KeywordCountMap::Deserialize(bytes.data(), bytes.size()) ==
-              empty);
-}
-
 // Property: merging maps built from random docs equals building one map
 // from the concatenation.
 TEST(KeywordCountMapTest, MergeEquivalentToBatchedAdd) {

@@ -46,19 +46,6 @@ TEST(KeywordSetTest, WithWithout) {
   EXPECT_EQ(a.Without(2), a);
 }
 
-TEST(KeywordSetTest, SerializationRoundTrip) {
-  const KeywordSet a{10, 20, 4000000000u};
-  std::vector<uint8_t> bytes;
-  a.Serialize(&bytes);
-  EXPECT_EQ(bytes.size(), a.SerializedSize());
-  EXPECT_EQ(KeywordSet::Deserialize(bytes.data(), bytes.size()), a);
-
-  const KeywordSet empty;
-  bytes.clear();
-  empty.Serialize(&bytes);
-  EXPECT_EQ(KeywordSet::Deserialize(bytes.data(), bytes.size()), empty);
-}
-
 TEST(KeywordSetTest, EditDistance) {
   const KeywordSet doc0{1, 2};
   EXPECT_EQ(EditDistance(doc0, doc0), 0u);

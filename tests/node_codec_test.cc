@@ -44,115 +44,98 @@ TEST(ByteCodecTest, WriterAppendsToExistingBuffer) {
   EXPECT_EQ(buf[3], 4);
 }
 
-TEST(NodeBytesTest, MultiPageRoundTrip) {
-  TempFile file("node_codec");
-  auto pager = Pager::Create(file.path(), 128).value();
-  BufferPool pool(pager.get(), 128 * 8);
-
-  const uint32_t pages = 3;
-  const PageId first = pager->AllocatePages(pages);
-  std::vector<uint8_t> data(128 * pages);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 7);
-  }
-  ASSERT_TRUE(WriteNodeBytes(&pool, first, pages, data.data()).ok());
-  ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_TRUE(pool.InvalidateAll().ok());
-
-  std::vector<uint8_t> back;
-  ASSERT_TRUE(ReadNodeBytes(&pool, first, pages, &back).ok());
-  EXPECT_EQ(back, data);
-}
-
-TEST(NodeBytesTest, ReadCostsOneFetchPerPage) {
-  TempFile file("node_codec_io");
-  auto pager = Pager::Create(file.path(), 128).value();
-  BufferPool pool(pager.get(), 128 * 8);
-  const PageId first = pager->AllocatePages(4);
-  std::vector<uint8_t> data(128 * 4, 0x5c);
-  ASSERT_TRUE(WriteNodeBytes(&pool, first, 4, data.data()).ok());
-  ASSERT_TRUE(pool.FlushAll().ok());
-  ASSERT_TRUE(pool.InvalidateAll().ok());
-  pager->io_stats().Reset();
-  std::vector<uint8_t> back;
-  ASSERT_TRUE(ReadNodeBytes(&pool, first, 4, &back).ok());
-  EXPECT_EQ(pager->io_stats().physical_reads(), 4u);
-  // Cached second read: no physical I/O.
-  ASSERT_TRUE(ReadNodeBytes(&pool, first, 4, &back).ok());
-  EXPECT_EQ(pager->io_stats().physical_reads(), 4u);
-}
-
-TEST(NodeViewTest, SinglePageIsZeroCopy) {
-  TempFile file("node_view_single");
+TEST(PageViewTest, WriteThenReadRoundTrip) {
+  TempFile file("page_view_round_trip");
   auto pager = Pager::Create(file.path(), 128).value();
   BufferPool pool(pager.get(), 128 * 8);
   const PageId page = pager->AllocatePages(1);
   std::vector<uint8_t> data(128);
   for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i);
+    data[i] = static_cast<uint8_t>(i * 7);
   }
-  ASSERT_TRUE(WriteNodeBytes(&pool, page, 1, data.data()).ok());
+  ASSERT_TRUE(WritePageBytes(&pool, page, data.data()).ok());
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(pool.InvalidateAll().ok());
 
-  StatusOr<NodeView> view = NodeView::Read(&pool, page, 1);
+  StatusOr<PageView> view = PageView::Read(&pool, page);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  // The single-page path borrows the pinned frame: no scratch copy.
-  EXPECT_TRUE(view.value().zero_copy());
+  EXPECT_FALSE(view.value().mapped());
   ASSERT_EQ(view.value().size(), 128u);
   EXPECT_EQ(std::memcmp(view.value().data(), data.data(), data.size()), 0);
+}
 
-  // The borrowed span IS the buffer-pool frame, not a copy.
+TEST(PageViewTest, BorrowsThePinnedFrame) {
+  TempFile file("page_view_pin");
+  auto pager = Pager::Create(file.path(), 128).value();
+  BufferPool pool(pager.get(), 128 * 8);
+  const PageId page = pager->AllocatePages(1);
+  std::vector<uint8_t> data(128, 0x2a);
+  ASSERT_TRUE(WritePageBytes(&pool, page, data.data()).ok());
+
+  StatusOr<PageView> view = PageView::Read(&pool, page);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // The span IS the buffer-pool frame, not a copy.
   PageHandle pinned = pool.Fetch(page).value();
   EXPECT_EQ(view.value().data(), pinned.data());
 }
 
-TEST(NodeViewTest, MultiPageGathersIntoOwnedCopy) {
-  TempFile file("node_view_multi");
+TEST(PageViewTest, ReadCostsOnePhysicalRead) {
+  TempFile file("page_view_io");
   auto pager = Pager::Create(file.path(), 128).value();
   BufferPool pool(pager.get(), 128 * 8);
-  const uint32_t pages = 3;
-  const PageId first = pager->AllocatePages(pages);
-  std::vector<uint8_t> data(128 * pages);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 13);
-  }
-  ASSERT_TRUE(WriteNodeBytes(&pool, first, pages, data.data()).ok());
+  const PageId page = pager->AllocatePages(1);
+  std::vector<uint8_t> data(128, 0x5c);
+  ASSERT_TRUE(WritePageBytes(&pool, page, data.data()).ok());
   ASSERT_TRUE(pool.FlushAll().ok());
   ASSERT_TRUE(pool.InvalidateAll().ok());
-
-  StatusOr<NodeView> view = NodeView::Read(&pool, first, pages);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_FALSE(view.value().zero_copy());
-  ASSERT_EQ(view.value().size(), data.size());
-  EXPECT_EQ(std::memcmp(view.value().data(), data.data(), data.size()), 0);
+  pager->io_stats().Reset();
+  ASSERT_TRUE(PageView::Read(&pool, page).ok());
+  EXPECT_EQ(pager->io_stats().physical_reads(), 1u);
+  // Cached second read: no physical I/O.
+  ASSERT_TRUE(PageView::Read(&pool, page).ok());
+  EXPECT_EQ(pager->io_stats().physical_reads(), 1u);
 }
 
-TEST(NodeViewTest, MoveKeepsSpanValid) {
-  TempFile file("node_view_move");
+TEST(PageViewTest, MappedModeBorrowsTheMapping) {
+  TempFile file("page_view_mapped");
+  auto pager = Pager::Create(file.path(), 128).value();
+  const PageId page = pager->AllocatePages(1);
+  std::vector<uint8_t> data(128, 0x71);
+  ASSERT_TRUE(pager->WritePage(page, data.data()).ok());
+  ASSERT_TRUE(pager->EnableMappedReads().ok());
+  BufferPool pool(pager.get(), 128 * 8);
+  pager->io_stats().Reset();
+
+  StatusOr<PageView> view = PageView::Read(&pool, page);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE(view.value().mapped());
+  EXPECT_EQ(std::memcmp(view.value().data(), data.data(), data.size()), 0);
+  EXPECT_EQ(pager->io_stats().physical_reads(), 0u);
+}
+
+TEST(PageViewTest, MoveKeepsSpanValid) {
+  TempFile file("page_view_move");
   auto pager = Pager::Create(file.path(), 128).value();
   BufferPool pool(pager.get(), 128 * 8);
   const PageId page = pager->AllocatePages(1);
   std::vector<uint8_t> data(128, 0x3e);
-  ASSERT_TRUE(WriteNodeBytes(&pool, page, 1, data.data()).ok());
+  ASSERT_TRUE(WritePageBytes(&pool, page, data.data()).ok());
 
-  NodeView view = NodeView::Read(&pool, page, 1).value();
+  PageView view = PageView::Read(&pool, page).value();
   const uint8_t* span = view.data();
-  NodeView moved = std::move(view);
-  EXPECT_TRUE(moved.zero_copy());
+  PageView moved = std::move(view);
   EXPECT_EQ(moved.data(), span);  // the pin moved with the view
   EXPECT_EQ(moved.data()[0], 0x3e);
 }
 
-TEST(NodeBytesTest, ReadErrorPropagates) {
-  TempFile file("node_codec_err");
+TEST(PageViewTest, ReadErrorPropagates) {
+  TempFile file("page_view_err");
   auto pager = Pager::Create(file.path(), 128).value();
   BufferPool pool(pager.get(), 128 * 8);
-  const PageId first = pager->AllocatePages(2);
+  const PageId page = pager->AllocatePages(1);
   pager->set_read_fault_hook(
       [](PageId) { return Status::IoError("injected"); });
-  std::vector<uint8_t> back;
-  EXPECT_EQ(ReadNodeBytes(&pool, first, 2, &back).code(),
+  EXPECT_EQ(PageView::Read(&pool, page).status().code(),
             StatusCode::kIoError);
 }
 
