@@ -36,9 +36,8 @@ class ByteWriter {
 
  private:
   void PutRaw(const void* data, size_t n) {
-    const size_t base = out_->size();
-    out_->resize(base + n);
-    std::memcpy(out_->data() + base, data, n);
+    const uint8_t* bytes = static_cast<const uint8_t*>(data);
+    out_->insert(out_->end(), bytes, bytes + n);
   }
 
   std::vector<uint8_t>* out_;

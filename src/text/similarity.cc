@@ -52,7 +52,8 @@ double NodeSimilarityUpperBound(size_t union_inter_query,
                  : std::min(1.0, static_cast<double>(union_inter_query) /
                                      inter_union_query);
     case SimilarityModel::kDice: {
-      const size_t denom = inter_size + query_size;
+      // An object that shares a term has at least max(1, |N_i|) terms.
+      const size_t denom = std::max<size_t>(1, inter_size) + query_size;
       return denom == 0
                  ? 0.0
                  : std::min(1.0, 2.0 * union_inter_query / denom);

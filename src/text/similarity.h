@@ -34,7 +34,7 @@ double TextualSimilarity(const KeywordSet& a, const KeywordSet& b,
 // a node whose union set intersects q in `union_inter_query` terms and
 // whose intersection set unions with q to `inter_union_query` terms.
 //   Jaccard: |N_u ∩ q| / |N_i ∪ q|
-//   Dice:    2 |N_u ∩ q| / (|N_i| + |q|)
+//   Dice:    2 |N_u ∩ q| / (max(1, |N_i|) + |q|)
 //   Overlap: |N_u ∩ q| / max(1, min(|N_i|, |q|))
 double NodeSimilarityUpperBound(size_t union_inter_query,
                                 size_t inter_union_query, size_t inter_size,

@@ -103,10 +103,11 @@ TEST(KcrTreeTest, RootKcmCountsMatchDocumentFrequencies) {
 }
 
 class KcrTopKSweep
-    : public ::testing::TestWithParam<std::tuple<uint32_t, double>> {};
+    : public ::testing::TestWithParam<std::tuple<uint32_t, double,
+                                                 SimilarityModel>> {};
 
 TEST_P(KcrTopKSweep, MatchesBruteForce) {
-  const auto [k, alpha] = GetParam();
+  const auto [k, alpha, model] = GetParam();
   const Dataset dataset = SmallDataset(400, 29);
   TreeBundle bundle = BulkLoad(dataset);
   Rng rng(100 + k);
@@ -118,6 +119,7 @@ TEST_P(KcrTopKSweep, MatchesBruteForce) {
                 .doc;
     q.k = k;
     q.alpha = alpha;
+    q.model = model;
     const auto expected = BruteForceTopK(dataset, q);
     const auto actual = IndexTopK(*bundle.tree, q).value();
     ASSERT_EQ(actual.size(), expected.size());
@@ -128,11 +130,13 @@ TEST_P(KcrTopKSweep, MatchesBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, KcrTopKSweep,
-                         ::testing::Combine(::testing::Values(1u, 5u, 20u,
-                                                              100u),
-                                            ::testing::Values(0.1, 0.5,
-                                                              0.9)));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KcrTopKSweep,
+    ::testing::Combine(::testing::Values(1u, 5u, 20u, 100u),
+                       ::testing::Values(0.1, 0.5, 0.9),
+                       ::testing::Values(SimilarityModel::kJaccard,
+                                         SimilarityModel::kDice,
+                                         SimilarityModel::kOverlap)));
 
 TEST(KcrTreeTest, ReopenFinalizedIndex) {
   const Dataset dataset = SmallDataset(120, 43);

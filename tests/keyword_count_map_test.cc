@@ -47,7 +47,9 @@ TEST(KeywordCountMapTest, PairsStaySorted) {
   TermId prev = 0;
   bool first = true;
   for (const auto& [term, count] : map.pairs()) {
-    if (!first) EXPECT_GT(term, prev);
+    if (!first) {
+      EXPECT_GT(term, prev);
+    }
     prev = term;
     first = false;
   }

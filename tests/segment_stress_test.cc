@@ -31,8 +31,8 @@ constexpr int kOpsPerWriter = 1500;
 constexpr int kSeedObjects = 200;
 
 std::vector<std::string> KeywordsFor(uint64_t v) {
-  return {"base", "w" + std::to_string(v % 12),
-          "w" + std::to_string((v / 12) % 12)};
+  return {"base", std::string("w").append(std::to_string(v % 12)),
+          std::string("w").append(std::to_string((v / 12) % 12))};
 }
 
 Point LocationFor(uint64_t v) {

@@ -44,13 +44,13 @@ Dataset TwoClusterDataset(int per_cluster = 8) {
     const double off = 0.002 * i;
     dataset.Add(Point{0.1 + off, 0.1 + off},
                 std::vector<std::string>{"coffee", "wifi",
-                                         "a" + std::to_string(i % 4)});
+                                         std::string("a").append(std::to_string(i % 4))});
   }
   for (int i = 0; i < per_cluster; ++i) {
     const double off = 0.002 * i;
     dataset.Add(Point{0.9 - off, 0.9 - off},
                 std::vector<std::string>{"museum", "art",
-                                         "b" + std::to_string(i % 4)});
+                                         std::string("b").append(std::to_string(i % 4))});
   }
   return dataset;
 }
@@ -84,7 +84,9 @@ TEST(ShardPartitionTest, DeterministicAndCoversEveryObjectOnce) {
         const SpatialObject& o = a.tiles[t].objects()[i];
         EXPECT_EQ(o.id, b.tiles[t].objects()[i].id);  // deterministic
         EXPECT_TRUE(seen.insert(o.id).second) << "duplicate id " << o.id;
-        if (i > 0) EXPECT_GT(o.id, previous);  // ascending ids in a tile
+        if (i > 0) {
+          EXPECT_GT(o.id, previous);  // ascending ids in a tile
+        }
         previous = o.id;
         // The tile preserves the object verbatim under its original id.
         const SpatialObject& original = seed.object(o.id);

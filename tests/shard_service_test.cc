@@ -27,13 +27,13 @@ Dataset TwoClusterDataset(int per_cluster = 8) {
     const double off = 0.002 * i;
     dataset.Add(Point{0.1 + off, 0.1 + off},
                 std::vector<std::string>{"coffee", "wifi",
-                                         "a" + std::to_string(i % 4)});
+                                         std::string("a").append(std::to_string(i % 4))});
   }
   for (int i = 0; i < per_cluster; ++i) {
     const double off = 0.002 * i;
     dataset.Add(Point{0.9 - off, 0.9 - off},
                 std::vector<std::string>{"museum", "art",
-                                         "b" + std::to_string(i % 4)});
+                                         std::string("b").append(std::to_string(i % 4))});
   }
   return dataset;
 }

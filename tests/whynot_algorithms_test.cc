@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <tuple>
 
 #include "common/rng.h"
@@ -326,6 +328,17 @@ TEST(WhyNotAlgorithmsTest, InvalidInputsRejected) {
   EXPECT_FALSE(
       engine->Answer(WhyNotAlgorithm::kAdvanced, query, {1}, bad_options)
           .ok());
+  // NaN alpha and NaN lambda fail the range checks on every algorithm.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = query;
+  bad.alpha = nan;
+  bad_options.lambda = nan;
+  for (WhyNotAlgorithm algorithm :
+       {WhyNotAlgorithm::kBasic, WhyNotAlgorithm::kAdvanced,
+        WhyNotAlgorithm::kKcrBased}) {
+    EXPECT_FALSE(engine->Answer(algorithm, bad, {1}, options).ok());
+    EXPECT_FALSE(engine->Answer(algorithm, query, {1}, bad_options).ok());
+  }
   // KcR-based requires Jaccard.
   bad = query;
   bad.model = SimilarityModel::kDice;

@@ -214,7 +214,8 @@ TEST_P(LiveMutationInvariants, HoldOnRandomInstances) {
     const uint64_t r = rng.Next();
     const auto id = engine->Insert(
         Point{rng.NextDouble(), rng.NextDouble()},
-        {"m" + std::to_string(r % 7), "m" + std::to_string(r % 11)});
+        {std::string("m").append(std::to_string(r % 7)),
+         std::string("m").append(std::to_string(r % 11))});
     ASSERT_TRUE(id.ok());
     if (r % 3 == 0) {
       ASSERT_TRUE(engine->Delete(id.value()).ok());

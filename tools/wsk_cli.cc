@@ -69,8 +69,8 @@
 //       (docs/SEGMENTS.md).
 //       Query file lines:
 //         topk <x> <y> <k> <alpha> <keywords...>
-//         whynot <bs|advanced|kcr> <x> <y> <k> <alpha> <lambda> \
-//                <missing-id[,id...]> <keywords...>
+//         whynot <bs|advanced|kcr> <x> <y> <k> <alpha> <lambda>
+//                <missing-id[,id...]> <keywords...>   (one line)
 //       Blank lines and lines starting with '#' are skipped.
 //
 // Service subcommands (statsz/serve/live/profiles) share the continuous-
@@ -84,8 +84,8 @@
 // Example:
 //   wsk_cli generate --out /tmp/pois.csv --objects 5000
 //   wsk_cli topk --data /tmp/pois.csv --x 0.5 --y 0.5 --keywords "term1 term7"
-//   wsk_cli whynot --data /tmp/pois.csv --x 0.5 --y 0.5 \
-//       --keywords "term1 term7" --missing 1234 --algorithm kcr
+//   wsk_cli whynot --data /tmp/pois.csv --x 0.5 --y 0.5
+//       --keywords "term1 term7" --missing 1234 --algorithm kcr  (one line)
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
