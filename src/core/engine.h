@@ -20,9 +20,7 @@
 #include "core/whynot.h"
 #include "data/dataset.h"
 #include "data/query.h"
-#include "index/kcr_tree.h"
-#include "index/setr_tree.h"
-#include "storage/buffer_pool.h"
+#include "index/index_pair.h"
 #include "storage/node_cache.h"
 #include "storage/pager.h"
 
@@ -54,7 +52,6 @@ class WhyNotEngine : public QueryBackend {
   static StatusOr<std::unique_ptr<WhyNotEngine>> Build(const Dataset* dataset,
                                                        const Config& config);
 
-  ~WhyNotEngine();
   WhyNotEngine(const WhyNotEngine&) = delete;
   WhyNotEngine& operator=(const WhyNotEngine&) = delete;
 
@@ -126,18 +123,18 @@ class WhyNotEngine : public QueryBackend {
   BackendIoSnapshot io_snapshot() const override;
 
   const Dataset& dataset() const { return *dataset_; }
-  const SetRTree& setr_tree() const { return *setr_tree_; }
-  const KcrTree& kcr_tree() const { return *kcr_tree_; }
+  const SetRTree& setr_tree() const { return indexes_->setr(); }
+  const KcrTree& kcr_tree() const { return indexes_->kcr(); }
   const Config& config() const { return config_; }
 
   // I/O counters of the two index files.
-  IoStats& setr_io() const { return setr_pager_->io_stats(); }
-  IoStats& kcr_io() const { return kcr_pager_->io_stats(); }
+  IoStats& setr_io() const { return indexes_->setr_pager().io_stats(); }
+  IoStats& kcr_io() const { return indexes_->kcr_pager().io_stats(); }
 
   // The backing pagers (file size / map state introspection, wsk_cli
   // inspect).
-  const Pager& setr_pager() const { return *setr_pager_; }
-  const Pager& kcr_pager() const { return *kcr_pager_; }
+  const Pager& setr_pager() const { return indexes_->setr_pager(); }
+  const Pager& kcr_pager() const { return indexes_->kcr_pager(); }
 
   // Requires no query in flight (see the thread-safety contract above).
   void ResetIoStats() const;
@@ -163,15 +160,9 @@ class WhyNotEngine : public QueryBackend {
 
   const Dataset* dataset_ = nullptr;
   Config config_;
-  std::string setr_path_;
-  std::string kcr_path_;
-  std::unique_ptr<Pager> setr_pager_;
-  std::unique_ptr<Pager> kcr_pager_;
-  std::unique_ptr<BufferPool> setr_pool_;
-  std::unique_ptr<BufferPool> kcr_pool_;
-  std::unique_ptr<SetRTree> setr_tree_;
-  std::unique_ptr<KcrTree> kcr_tree_;
+  // Declared before the pair, so it outlives the pair's teardown.
   std::unique_ptr<NodeCache> node_cache_;
+  std::unique_ptr<IndexPair> indexes_;
   mutable std::atomic<int> inflight_queries_{0};
 };
 

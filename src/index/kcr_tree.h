@@ -6,61 +6,93 @@
 // for a candidate keyword set, how many objects under a node dominate the
 // missing object (MaxDom / MinDom, see dom_bounds.h) without unfolding it.
 //
-// The storage scheme mirrors the SetR-tree: one compact record per node
-// with the maps inline. The metadata page additionally records the root's
-// own cnt / MBR and the page of a record holding the root kcm, so a
-// traversal can bound the whole tree before the first node access
-// (Algorithm 3, lines 2-6).
+// Everything but the cnt/kcm summary is the packed R-tree core
+// (index/packed_rtree.h), shared with the SetR-tree. The metadata page
+// additionally records the root's own cnt / MBR and the page of a record
+// holding the root kcm, so a traversal can bound the whole tree before the
+// first node access (Algorithm 3, lines 2-6).
 #ifndef WSK_INDEX_KCR_TREE_H_
 #define WSK_INDEX_KCR_TREE_H_
 
 #include <memory>
 #include <vector>
 
-#include "common/geometry.h"
-#include "common/status.h"
-#include "data/dataset.h"
-#include "data/query.h"
 #include "index/dom_bounds.h"
 #include "index/keyword_count_map.h"
-#include "index/node_codec.h"
-#include "index/topk.h"
-#include "storage/buffer_pool.h"
-#include "storage/node_cache.h"
-#include "text/similarity.h"
+#include "index/packed_rtree.h"
 
 namespace wsk {
 
-class KcrTree : public TopKSource {
- public:
-  struct Options {
-    uint32_t capacity = 100;
-    SimilarityModel model = SimilarityModel::kJaccard;
-  };
-
-  // The structural part of an entry; its payload (pks, or pcm) sits beside
-  // it in DecodedNode.
-  struct LeafEntry {
-    ObjectId object = kInvalidObjectId;
-    Point loc;
-  };
+// The KcR inner-entry summary: the subtree's object count (cnt) and
+// keyword-count map (kcm), stored inline after the child's MBR.
+struct KcrKind {
+  static constexpr uint32_t kMagic = 0x43524b57;  // "WKRC"
+  // The KcR meta page has its own version: version 2 pages held the root
+  // keyword-count map out of line, version 3 holds the page id of its
+  // record.
+  static constexpr uint32_t kMetaVersion = 3;
+  static constexpr const char* kName = "KcR-tree";
+  static constexpr const char* kClassName = "KcrTree";
 
   struct InnerEntry {
     PageId child = kInvalidPageId;
     Rect mbr;
     uint32_t cnt = 0;  // objects in the child's subtree
   };
+  struct Summary {
+    KeywordCountMap kcm;
+    uint32_t cnt = 0;
+  };
+  // Decoded count map + suffix-histogram stats per child (same index).
+  // child_stats[i] points into child_kcms[i], which is why both live
+  // together inside one shared, immutable allocation.
+  struct Payload {
+    std::vector<KeywordCountMap> child_kcms;
+    std::vector<NodeDomStats> child_stats;
+  };
+  // The root summary, written after the shared meta prefix.
+  struct MetaTail {
+    uint32_t root_cnt = 0;
+    Rect root_mbr;
+    // First page of the single-entry record holding the root kcm.
+    PageId root_kcm_page = kInvalidPageId;
 
-  struct Node {
-    bool is_leaf = true;
-    std::vector<LeafEntry> leaf_entries;
-    std::vector<InnerEntry> inner_entries;
-
-    size_t size() const {
-      return is_leaf ? leaf_entries.size() : inner_entries.size();
+    void Put(ByteWriter* writer) const {
+      writer->PutU32(root_cnt);
+      writer->PutRect(root_mbr);
+      writer->PutU32(root_kcm_page);
+    }
+    void Get(ByteReader* reader) {
+      root_cnt = reader->GetU32();
+      root_mbr = reader->GetRect();
+      root_kcm_page = reader->GetU32();
     }
   };
 
+  static void AddDoc(Summary* s, const KeywordSet& doc, bool first);
+  static void AddChild(Summary* s, const Summary& child, bool first);
+  static void PutSummary(std::vector<uint8_t>* body, const Summary& s);
+  static const char* GetSummary(CheckedReader* reader, InnerEntry* entry,
+                                Payload* payload, size_t* bytes);
+  static void Reserve(Payload* payload, size_t count);
+  static void FinishInner(const std::vector<InnerEntry>& entries,
+                          Payload* payload, size_t* bytes);
+  static void MixInner(FingerprintHasher* hasher, const InnerEntry& entry,
+                       const Payload& payload, size_t i);
+  static Status FinishRoot(BufferPool* pool, const Rect& mbr,
+                           const Summary& root, MetaTail* tail);
+  // Theorem 1 with an empty intersection set: an object below a child
+  // shares at most the query terms present in the child's count map.
+  static void AppendInnerEntries(const std::vector<InnerEntry>& entries,
+                                 const Payload& payload, double diagonal,
+                                 const SpatialKeywordQuery& query,
+                                 std::vector<SearchEntry>* out);
+};
+
+extern template class PackedRTree<KcrKind>;
+
+class KcrTree final : public PackedRTree<KcrKind> {
+ public:
   static StatusOr<std::unique_ptr<KcrTree>> BulkLoad(
       const Dataset& dataset, BufferPool* pool, const Options& options);
   // Explicit object list + pinned diagonal (segment build path); ids are
@@ -72,107 +104,15 @@ class KcrTree : public TopKSource {
   // version is Corruption naming that version.
   static StatusOr<std::unique_ptr<KcrTree>> Open(BufferPool* pool);
 
-  // Writes the metadata page and flushes all dirty buffers (bulk load
-  // already calls it).
-  Status Finalize();
-
-  // TopKSource (used to determine R(m, q), Algorithm 4 line 1):
-  PageId SearchRoot() const override;
-  Status ExpandNode(PageId node, const SpatialKeywordQuery& query,
-                    bool use_cache, std::vector<SearchEntry>* out)
-      const override;
-  // One decode + one footprint per object for the whole batch; bit-exact
-  // per-query entries (docs/BATCHING.md).
-  Status ExpandNodeBatch(PageId node,
-                         const SpatialKeywordQuery* const* queries,
-                         std::vector<SearchEntry>* const* outs, size_t count,
-                         bool use_cache) const override;
-
-  // A node decoded all the way down: the structural entries plus every
-  // inline entry payload, and the query-independent dominator statistics
-  // precomputed per child. Immutable
-  // once built — this is the unit the NodeCache shares across queries.
-  struct DecodedNode {
-    Node node;
-    // Leaf nodes: decoded keyword set per leaf entry (same index).
-    std::vector<KeywordSet> leaf_docs;
-    // Inner nodes: decoded count map + suffix-histogram stats per child
-    // (same index). child_stats[i] points into child_kcms[i], which is why
-    // both live together inside one shared, immutable allocation.
-    std::vector<KeywordCountMap> child_kcms;
-    std::vector<NodeDomStats> child_stats;
-    size_t memory_bytes = 0;  // cache charge estimate
-  };
-
-  // Attaches a shared decoded-node cache (not owned). Call after bulk load;
-  // the tree registers itself under a fresh cache tree-id. Pass nullptr to
-  // detach.
-  void AttachNodeCache(NodeCache* cache);
-
-  // This tree's key namespace in the attached cache (0 = never attached).
-  // Segment retirement uses it to drop the tree's entries (EraseTree).
-  uint32_t cache_tree_id() const { return cache_tree_id_; }
-
-  // Reads a fully materialized node, through the cache when one is attached
-  // and `use_cache` is true. With `use_cache` false the read behaves
-  // exactly like the uncached path (no lookup, no insert, no counters), so
-  // differential runs can replay both paths.
-  StatusOr<std::shared_ptr<const DecodedNode>> ReadDecodedNode(
-      PageId page, bool use_cache = true) const;
-
-  double diagonal() const { return diagonal_; }
-  uint32_t height() const { return height_; }
-  uint64_t num_objects() const { return num_objects_; }
-  const Options& options() const { return options_; }
-
   // Root summary for Algorithm 3's initial bounds.
-  const Rect& root_mbr() const { return root_mbr_; }
-  uint32_t root_cnt() const { return root_cnt_; }
+  const Rect& root_mbr() const { return meta_tail_.root_mbr; }
+  uint32_t root_cnt() const { return meta_tail_.root_cnt; }
   StatusOr<KeywordCountMap> ReadRootKcm() const;
 
-  // The structural entries of one node, uncached. Use ReadDecodedNode for
-  // the payloads.
-  StatusOr<Node> ReadNode(PageId page) const;
-
-  // Layout facts of one node from its record header alone (no payload
-  // decode).
-  StatusOr<NodeStat> StatNode(PageId page) const;
-
  private:
-  KcrTree(BufferPool* pool, const Options& options, double diagonal);
-
-  struct Summary {
-    Rect mbr;
-    KeywordCountMap kcm;
-    uint32_t cnt = 0;
-  };
-
-  StatusOr<std::shared_ptr<const DecodedNode>> DecodeNode(PageId page) const;
-  // Encodes the node with its payloads inline (leaves: per-entry docs;
-  // inner: per-entry count maps) and appends it to fresh pages.
-  StatusOr<PageId> AppendNode(const Node& node,
-                              const std::vector<const KeywordSet*>& docs,
-                              const std::vector<const KeywordCountMap*>& kcms,
-                              bool children_are_leaves);
-  Status WriteMeta();
-  Status ReadMeta();
-
-  BufferPool* const pool_;
-  NodeCache* cache_ = nullptr;  // not owned; see AttachNodeCache
-  uint32_t cache_tree_id_ = 0;
-  // First-touch body-checksum ledger (the tree is immutable, so one clean
-  // verification per record is enough).
-  mutable ChecksumLedger checksum_ledger_;
-  Options options_;
-  PageId meta_page_ = kInvalidPageId;
-  PageId root_ = kInvalidPageId;
-  uint32_t height_ = 0;
-  uint64_t num_objects_ = 0;
-  double diagonal_ = 1.0;
-  Rect root_mbr_;
-  uint32_t root_cnt_ = 0;
-  // First page of the single-entry record holding the root kcm.
-  PageId root_kcm_page_ = kInvalidPageId;
+  friend class PackedRTree<KcrKind>;
+  KcrTree(BufferPool* pool, const Options& options, double diagonal)
+      : PackedRTree(pool, options, diagonal) {}
 };
 
 }  // namespace wsk

@@ -140,43 +140,40 @@ Status WalkKcr(const KcrTree& tree, PageId page, uint32_t level,
   return Status::Ok();
 }
 
-}  // namespace
-
-Status VerifySetRTree(const SetRTree& tree, VerifyStats* stats) {
+// The prelude both verifiers share: an empty tree must claim no objects,
+// and a walk from the root must reach exactly num_objects() objects.
+template <typename Tree, typename Facts>
+Status WalkWholeTree(const Tree& tree,
+                     Status (*walk)(const Tree&, PageId, uint32_t,
+                                    VerifyStats*, Facts*),
+                     VerifyStats* stats, Facts* facts) {
   VerifyStats local;
   if (stats == nullptr) stats = &local;
   *stats = VerifyStats{};
   if (tree.height() == 0) {
-    if (tree.num_objects() != 0) {
-      return Status::Corruption("empty tree claims objects");
-    }
-    return Status::Ok();
+    return tree.num_objects() == 0
+               ? Status::Ok()
+               : Status::Corruption("empty tree claims objects");
   }
-  SetRFacts facts;
   WSK_RETURN_IF_ERROR(
-      WalkSetR(tree, tree.SearchRoot(), tree.height(), stats, &facts));
-  if (facts.objects != tree.num_objects()) {
+      walk(tree, tree.SearchRoot(), tree.height(), stats, facts));
+  if (facts->objects != tree.num_objects()) {
     return Status::Corruption("reachable objects differ from num_objects");
   }
   return Status::Ok();
 }
 
+}  // namespace
+
+Status VerifySetRTree(const SetRTree& tree, VerifyStats* stats) {
+  SetRFacts facts;
+  return WalkWholeTree(tree, &WalkSetR, stats, &facts);
+}
+
 Status VerifyKcrTree(const KcrTree& tree, VerifyStats* stats) {
-  VerifyStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = VerifyStats{};
-  if (tree.height() == 0) {
-    if (tree.num_objects() != 0) {
-      return Status::Corruption("empty tree claims objects");
-    }
-    return Status::Ok();
-  }
   KcrFacts facts;
-  WSK_RETURN_IF_ERROR(
-      WalkKcr(tree, tree.SearchRoot(), tree.height(), stats, &facts));
-  if (facts.objects != tree.num_objects()) {
-    return Status::Corruption("reachable objects differ from num_objects");
-  }
+  WSK_RETURN_IF_ERROR(WalkWholeTree(tree, &WalkKcr, stats, &facts));
+  // An empty tree reaches nothing and its root summary is zero.
   if (facts.objects != tree.root_cnt()) {
     return Status::Corruption("root cnt differs from reachable objects");
   }

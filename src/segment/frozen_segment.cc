@@ -1,24 +1,10 @@
 #include "segment/frozen_segment.h"
 
 #include <atomic>
-#include <cstdio>
-
-#include <unistd.h>
 
 #include "common/macros.h"
 
 namespace wsk {
-
-namespace {
-
-std::string UniqueSegmentPath(const std::string& work_dir, const char* kind) {
-  static std::atomic<uint64_t> counter{0};
-  const uint64_t id = counter.fetch_add(1);
-  return work_dir + "/wsk_seg_" + std::to_string(getpid()) + "_" +
-         std::to_string(id) + "_" + kind + ".idx";
-}
-
-}  // namespace
 
 StatusOr<std::shared_ptr<FrozenSegment>> FrozenSegment::Build(
     std::vector<SpatialObject> objects, double diagonal,
@@ -26,7 +12,6 @@ StatusOr<std::shared_ptr<FrozenSegment>> FrozenSegment::Build(
     RetiredIoAccumulator* retired) {
   std::shared_ptr<FrozenSegment> segment(new FrozenSegment());
   segment->objects_ = std::move(objects);
-  segment->node_cache_ = node_cache;
   segment->retired_ = retired;
 
   const size_t n = segment->objects_.size();
@@ -43,72 +28,28 @@ StatusOr<std::shared_ptr<FrozenSegment>> FrozenSegment::Build(
     segment->shadow_[i].store(0, std::memory_order_relaxed);
   }
 
-  segment->setr_path_ = UniqueSegmentPath(options.work_dir, "setr");
-  segment->kcr_path_ = UniqueSegmentPath(options.work_dir, "kcr");
-
-  StatusOr<std::unique_ptr<Pager>> setr_pager =
-      Pager::Create(segment->setr_path_, options.page_size);
-  if (!setr_pager.ok()) return setr_pager.status();
-  segment->setr_pager_ = std::move(setr_pager).value();
-  segment->setr_pool_ = std::make_unique<BufferPool>(
-      segment->setr_pager_.get(), options.buffer_bytes);
-
-  StatusOr<std::unique_ptr<Pager>> kcr_pager =
-      Pager::Create(segment->kcr_path_, options.page_size);
-  if (!kcr_pager.ok()) return kcr_pager.status();
-  segment->kcr_pager_ = std::move(kcr_pager).value();
-  segment->kcr_pool_ = std::make_unique<BufferPool>(segment->kcr_pager_.get(),
-                                                    options.buffer_bytes);
-
-  SetRTree::Options setr_options;
-  setr_options.capacity = options.node_capacity;
-  setr_options.model = options.model;
-  StatusOr<std::unique_ptr<SetRTree>> setr = SetRTree::BulkLoadObjects(
-      segment->objects_, diagonal, segment->setr_pool_.get(), setr_options);
-  if (!setr.ok()) return setr.status();
-  segment->setr_tree_ = std::move(setr).value();
-
-  KcrTree::Options kcr_options;
-  kcr_options.capacity = options.node_capacity;
-  kcr_options.model = options.model;
-  StatusOr<std::unique_ptr<KcrTree>> kcr = KcrTree::BulkLoadObjects(
-      segment->objects_, diagonal, segment->kcr_pool_.get(), kcr_options);
-  if (!kcr.ok()) return kcr.status();
-  segment->kcr_tree_ = std::move(kcr).value();
-
-  if (options.mmap_reads) {
-    // The segment is sealed from here on; map both files read-only. A
-    // non-OK result (platform without mmap, empty file) just leaves the
-    // buffered pread path in place — correctness is identical.
-    (void)segment->setr_pager_->EnableMappedReads();
-    (void)segment->kcr_pager_->EnableMappedReads();
-  }
-
-  if (node_cache != nullptr) {
-    segment->setr_tree_->AttachNodeCache(node_cache);
-    segment->kcr_tree_->AttachNodeCache(node_cache);
-  }
+  IndexPair::Params params;
+  params.work_dir = options.work_dir;
+  params.file_prefix = "wsk_seg";
+  params.page_size = options.page_size;
+  params.buffer_bytes = options.buffer_bytes;
+  params.tree.capacity = options.node_capacity;
+  params.tree.model = options.model;
+  params.mmap_reads = options.mmap_reads;
+  StatusOr<std::unique_ptr<IndexPair>> indexes =
+      IndexPair::Build(segment->objects_, diagonal, params, node_cache);
+  if (!indexes.ok()) return indexes.status();
+  segment->indexes_ = std::move(indexes).value();
   return segment;
 }
 
+// The pair's teardown erases both trees from the node cache and removes
+// the files.
 FrozenSegment::~FrozenSegment() {
-  if (node_cache_ != nullptr) {
-    if (setr_tree_ != nullptr) node_cache_->EraseTree(setr_tree_->cache_tree_id());
-    if (kcr_tree_ != nullptr) node_cache_->EraseTree(kcr_tree_->cache_tree_id());
-  }
   FoldIntoRetired();
   if (retired_ != nullptr) {
     retired_->segments_retired.fetch_add(1, std::memory_order_relaxed);
   }
-  // Trees and pools must close before the backing files are removed.
-  setr_tree_.reset();
-  kcr_tree_.reset();
-  setr_pool_.reset();
-  kcr_pool_.reset();
-  setr_pager_.reset();
-  kcr_pager_.reset();
-  if (!setr_path_.empty()) std::remove(setr_path_.c_str());
-  if (!kcr_path_.empty()) std::remove(kcr_path_.c_str());
 }
 
 const SpatialObject* FrozenSegment::Find(ObjectId id) const {
@@ -137,11 +78,9 @@ bool FrozenSegment::Shadow(ObjectId id, uint64_t del_seq) {
 }
 
 void FrozenSegment::FoldIntoRetired() {
-  if (retired_ == nullptr || setr_pager_ == nullptr || kcr_pager_ == nullptr) {
-    return;
-  }
-  const IoStats::Snapshot s = setr_pager_->io_stats().TakeSnapshot();
-  const IoStats::Snapshot k = kcr_pager_->io_stats().TakeSnapshot();
+  if (retired_ == nullptr || indexes_ == nullptr) return;
+  const IoStats::Snapshot s = setr_io().TakeSnapshot();
+  const IoStats::Snapshot k = kcr_io().TakeSnapshot();
   retired_->setr_physical.fetch_add(
       s.physical_reads - folded_setr_.physical_reads,
       std::memory_order_relaxed);

@@ -28,11 +28,8 @@
 #include "common/status.h"
 #include "core/whynot_kcr.h"
 #include "data/dataset.h"
-#include "index/kcr_tree.h"
-#include "index/setr_tree.h"
-#include "storage/buffer_pool.h"
+#include "index/index_pair.h"
 #include "storage/node_cache.h"
-#include "storage/pager.h"
 #include "text/similarity.h"
 
 namespace wsk {
@@ -80,8 +77,8 @@ class FrozenSegment {
   FrozenSegment(const FrozenSegment&) = delete;
   FrozenSegment& operator=(const FrozenSegment&) = delete;
 
-  const SetRTree& setr() const { return *setr_tree_; }
-  const KcrTree& kcr() const { return *kcr_tree_; }
+  const SetRTree& setr() const { return indexes_->setr(); }
+  const KcrTree& kcr() const { return indexes_->kcr(); }
 
   size_t num_objects() const { return objects_.size(); }
   const std::vector<SpatialObject>& objects() const { return objects_; }
@@ -111,8 +108,10 @@ class FrozenSegment {
   // against concurrent tombstoning).
   uint32_t ShadowedAt(uint64_t seq) const;
 
-  const IoStats& setr_io() const { return setr_pager_->io_stats(); }
-  const IoStats& kcr_io() const { return kcr_pager_->io_stats(); }
+  const IoStats& setr_io() const {
+    return indexes_->setr_pager().io_stats();
+  }
+  const IoStats& kcr_io() const { return indexes_->kcr_pager().io_stats(); }
 
   // Folds counter growth since the last fold into the retired accumulator
   // (no double counting: a baseline tracks what was already folded). The
@@ -131,15 +130,7 @@ class FrozenSegment {
   std::unique_ptr<std::atomic<uint64_t>[]> shadow_;
   std::atomic<uint32_t> shadow_total_{0};
 
-  std::string setr_path_;
-  std::string kcr_path_;
-  std::unique_ptr<Pager> setr_pager_;
-  std::unique_ptr<Pager> kcr_pager_;
-  std::unique_ptr<BufferPool> setr_pool_;
-  std::unique_ptr<BufferPool> kcr_pool_;
-  std::unique_ptr<SetRTree> setr_tree_;
-  std::unique_ptr<KcrTree> kcr_tree_;
-  NodeCache* node_cache_ = nullptr;
+  std::unique_ptr<IndexPair> indexes_;
   RetiredIoAccumulator* retired_ = nullptr;
   IoStats::Snapshot folded_setr_;
   IoStats::Snapshot folded_kcr_;

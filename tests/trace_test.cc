@@ -214,8 +214,11 @@ TEST(TraceRecorderTest, ConcurrentWritersAreLossless) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&recorder] {
       for (int i = 0; i < kPerThread; ++i) {
-        TraceSpan span(&recorder, TraceStage::kCandidateEval);
+        // Add before the span: after the span's null check GCC 12 -O3
+        // threads a null-recorder path into Add and warns
+        // -Wstringop-overflow on it.
         recorder.Add(TraceCounter::kCandidatesEnumerated);
+        TraceSpan span(&recorder, TraceStage::kCandidateEval);
       }
     });
   }
